@@ -161,13 +161,6 @@ def make_chain(
     )
 
 
-def _observed_cov(inst: ChainInstance) -> np.ndarray:
-    if inst.cov is not None:
-        return inst.cov
-    x = inst.data.x - inst.data.x.mean(axis=0)
-    return x.T @ x / inst.data.n
-
-
 def pairwise_coefficients(inst: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
     """Absolute simple-regression coefficients of adjacent presented pairs.
 
@@ -175,15 +168,8 @@ def pairwise_coefficients(inst: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
     neighbor) and the right-to-left sweep (each on its right neighbor,
     starting from the right end).
     """
-    cov = _observed_cov(inst)
-    var = np.diag(cov)
-    if np.any(var <= 0):
-        raise DegenerateDataError("zero variance in a presented variable")
-    d = inst.d
-    adj = np.array([abs(cov[i, i + 1]) for i in range(d - 1)])
-    left_to_right = adj / var[:-1]
-    right_to_left = (adj / var[1:])[::-1]
-    return left_to_right, right_to_left
+    lr, rl = _sweeps(*_adjacent(inst))
+    return lr[0], rl[0]
 
 
 def increasingness(seq, tol: float = 0.0) -> int:
@@ -196,29 +182,19 @@ def increasingness(seq, tol: float = 0.0) -> int:
     seq = np.asarray(seq, dtype=float)
     if seq.size < 2:
         raise ConfigurationError("need a sequence of length >= 2")
-    total = 0
-    for p in range(len(seq) - 1):
-        diff = seq[p + 1 :] - seq[p]
-        scale = np.maximum(1.0, np.maximum(np.abs(seq[p + 1 :]), abs(seq[p])))
-        signs = np.sign(diff)
-        signs[np.abs(diff) <= tol * scale] = 0
-        total += int(signs.sum())
-    return total
+    return int(_increasingness_rows(seq[None, :], tol)[0])
 
 
-def _coin(seed) -> str:
-    return "forward" if substream(seed, "chainexp", "coin").random() < 0.5 else "backward"
+def _orient(inst: ChainInstance, rule: str, seed) -> OrientationDecision:
+    decision = _decisions(*_adjacent(inst), rule, forward=np.array([True]))
+    tie = bool(decision[0] == 0)
+    direction = "forward" if _break_ties(decision, seed)[0] > 0 else "backward"
+    return OrientationDecision(direction, tie=tie)
 
 
 def orient_by_coefficients(inst: ChainInstance, seed: int = 0) -> OrientationDecision:
     """Pick the direction whose coefficient sweep is more increasing."""
-    lr, rl = pairwise_coefficients(inst)
-    inc_lr, inc_rl = increasingness(lr), increasingness(rl)
-    if inc_lr > inc_rl:
-        return OrientationDecision("forward", tie=False)
-    if inc_lr < inc_rl:
-        return OrientationDecision("backward", tie=False)
-    return OrientationDecision(_coin(seed), tie=True)
+    return _orient(inst, "coefficients", seed)
 
 
 VARIANCE_TIE_TOL = 1e-9
@@ -226,18 +202,22 @@ VARIANCE_TIE_TOL = 1e-9
 
 def orient_by_variance(inst: ChainInstance, seed: int = 0) -> OrientationDecision:
     """Forward iff the presented variance sequence is net increasing."""
-    var = np.diag(_observed_cov(inst))
-    inc = increasingness(var, tol=VARIANCE_TIE_TOL)
-    if inc > 0:
-        return OrientationDecision("forward", tie=False)
-    if inc < 0:
-        return OrientationDecision("backward", tie=False)
-    return OrientationDecision(_coin(seed), tie=True)
+    return _orient(inst, "variance", seed)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized accuracy studies
+# Batched rules: one row per chain. The single-instance rules above are
+# batches of one.
 # ---------------------------------------------------------------------------
+
+
+def _adjacent(inst: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Presented variances and adjacent covariances as a batch of one."""
+    cov = inst.cov
+    if cov is None:
+        x = inst.data.x - inst.data.x.mean(axis=0)
+        cov = x.T @ x / inst.data.n
+    return np.diag(cov)[None, :], np.diagonal(cov, 1)[None, :]
 
 
 def _increasingness_rows(seq: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -251,6 +231,33 @@ def _increasingness_rows(seq: np.ndarray, tol: float = 0.0) -> np.ndarray:
             signs[np.abs(diff) <= tol * scale] = 0
         total += signs.sum(axis=1).astype(np.int64)
     return total
+
+
+def _sweeps(var: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left-to-right and right-to-left coefficient sweeps per chain."""
+    if np.any(var <= 0):
+        raise DegenerateDataError("zero variance in a presented variable")
+    return np.abs(cov) / var[:, :-1], (np.abs(cov) / var[:, 1:])[:, ::-1]
+
+
+def _decisions(var: np.ndarray, cov: np.ndarray, rule: str, forward: np.ndarray) -> np.ndarray:
+    """+1 forward, -1 backward, 0 tie per chain. ``var`` and ``cov`` follow
+    one variable order; a chain whose ``forward`` is false is presented in
+    the reverse of that order."""
+    if rule == "coefficients":
+        inc_lr, inc_rl = (_increasingness_rows(sweep) for sweep in _sweeps(var, cov))
+        # A backward presentation swaps the two sweep directions.
+        inc_first = np.where(forward, inc_lr, inc_rl)
+        inc_second = np.where(forward, inc_rl, inc_lr)
+        return np.sign(inc_first - inc_second)
+    inc_var = _increasingness_rows(var, tol=VARIANCE_TIE_TOL)
+    return np.sign(np.where(forward, inc_var, -inc_var))
+
+
+def _break_ties(decision: np.ndarray, seed) -> np.ndarray:
+    """Replace each tie (0) by a seeded fair coin, +1 or -1."""
+    coin = substream(seed, "chainexp", "coin").random(decision.size) < 0.5
+    return np.where(decision == 0, np.where(coin, 1, -1), decision)
 
 
 def _population_adjacent(weights, sigmas, regime):
@@ -337,21 +344,9 @@ def chain_accuracy_study(
         )
 
     forward = np.arange(reps) % 2 == 0  # balanced presentation
-    if rule == "coefficients":
-        lr = np.abs(cov) / var[:, :-1]
-        rl = (np.abs(cov) / var[:, 1:])[:, ::-1]
-        inc_lr, inc_rl = _increasingness_rows(lr), _increasingness_rows(rl)
-        # A backward presentation swaps the two sweep directions.
-        inc_first = np.where(forward, inc_lr, inc_rl)
-        inc_second = np.where(forward, inc_rl, inc_lr)
-        decision = np.sign(inc_first - inc_second)  # +1 forward, -1 backward, 0 tie
-    else:
-        inc_var = _increasingness_rows(var, tol=VARIANCE_TIE_TOL)
-        decision = np.sign(np.where(forward, inc_var, -inc_var))
-
+    decision = _decisions(var, cov, rule, forward)
     ties = decision == 0
-    coin = substream(seed, "chainexp", "coin").random(reps) < 0.5
-    decision = np.where(ties, np.where(coin, 1, -1), decision)
+    decision = _break_ties(decision, seed)
     truth = np.where(forward, 1, -1)
     return ChainStudyResult(
         accuracy=float(np.mean(decision == truth)),

@@ -15,10 +15,8 @@ import sys
 import numpy as np
 
 from . import chainexp, contlearn, harness
-from .graphs import GraphSpec, read_edge_list, write_edge_list, sample_er_dag, sample_sf_dag
-from .metrics import MetricRecord, shd, shd_cpdag, sid, sid_cpdag_bounds
-from .graphs import dag_to_cpdag
-from .errors import MecSizeError
+from .graphs import GraphSpec, read_edge_list, sample_dag, write_edge_list
+from .metrics import class_scores, dag_scores
 from .rng import spawn_seed, substream
 from .scm import (
     NoiseSpec,
@@ -53,8 +51,7 @@ def _sigma_law(arg: str) -> SigmaLaw:
 
 def _cmd_simulate(args) -> int:
     spec = GraphSpec(args.model, args.d, args.k)
-    sampler = sample_er_dag if args.model == "ER" else sample_sf_dag
-    g = sampler(spec, spawn_seed(args.seed, "cli", "graph"))
+    g = sample_dag(spec, spawn_seed(args.seed, "cli", "graph"))
     noise = NoiseSpec(args.noise, None, args.sigma)
     m = sample_linear_scm(g, args.weights, noise, spawn_seed(args.seed, "cli", "scm"))
     data = simulate(m, args.n, spawn_seed(args.seed, "cli", "data"))
@@ -121,20 +118,9 @@ def _cmd_evaluate(args) -> int:
         est = contlearn.threshold_and_break_cycles(west, args.omega)
     else:
         est = read_edge_list(args.estimate, d=truth.d)
-    record = MetricRecord(
-        shd=shd(truth, est),
-        sid=sid(truth, est),
-        sid_normalizer=truth.d * (truth.d - 1),
-        true_edges=truth.n_edges,
-    )
-    out = record.as_dict()
+    out = {**dag_scores(truth, est), "sid_mec_lower": None, "sid_mec_upper": None, "shd_cpdag": None}
     if args.mec:
-        c_true, c_est = dag_to_cpdag(truth), dag_to_cpdag(est)
-        out["shd_cpdag"] = shd_cpdag(c_true, c_est)
-        try:
-            out["sid_mec_lower"], out["sid_mec_upper"] = sid_cpdag_bounds(truth, c_est)
-        except MecSizeError:
-            out["sid_mec_lower"] = out["sid_mec_upper"] = None
+        out.update(class_scores(truth, est))
     print(json.dumps(out))
     return 0
 
@@ -252,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_varsort)
 
     p = sub.add_parser("learn", help="run one learner on a dataset CSV")
-    p.add_argument("--algo", required=True, choices=sorted(harness.LEARNER_NAMES))
+    p.add_argument("--algo", required=True, choices=sorted(harness.LEARNERS))
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -54,7 +54,7 @@ class OptimizerSettings:
 
     ``rho_*``, ``alpha_init``, ``h_tol`` and ``progress_factor`` drive the
     augmented-Lagrangian schedule; ``step_size`` and ``iterations`` drive
-    gradient descent; ``omega`` is the edge threshold applied downstream.
+    gradient descent.
     """
 
     lambda1: float = 0.0
@@ -68,7 +68,6 @@ class OptimizerSettings:
     max_inner: int = 1000
     step_size: float = 1e-3
     iterations: int = 10_000
-    omega: float = 0.3
     fix_diagonal: bool = True
 
     def __post_init__(self):
@@ -78,8 +77,8 @@ class OptimizerSettings:
             raise ConfigurationError("rho_init must be below rho_max")
         if not 0 < self.progress_factor < 1:
             raise ConfigurationError("progress_factor must lie in (0, 1)")
-        if self.omega < 0 or self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigurationError("penalties and threshold must be non-negative")
+        if self.lambda1 < 0 or self.lambda2 < 0:
+            raise ConfigurationError("penalties must be non-negative")
         if min(self.max_outer, self.max_inner, self.iterations) < 1:
             raise ConfigurationError("iteration counts must be positive")
 

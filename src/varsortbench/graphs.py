@@ -21,6 +21,7 @@ __all__ = [
     "dag_from_edges",
     "sample_er_dag",
     "sample_sf_dag",
+    "sample_dag",
     "topological_order",
     "descendant_matrix",
     "dag_to_cpdag",
@@ -237,6 +238,11 @@ def sample_sf_dag(spec: GraphSpec, seed: int) -> Dag:
     for a, b in zip(*np.nonzero(pos_adj)):
         adj[perm[a], perm[b]] = True
     return Dag(adj, order=tuple(int(i) for i in perm))
+
+
+def sample_dag(spec: GraphSpec, seed: int) -> Dag:
+    """Sample a DAG from the family ``spec`` names (ER or SF)."""
+    return (sample_er_dag if spec.model == "ER" else sample_sf_dag)(spec, seed)
 
 
 def topological_order(g: Dag) -> tuple[int, ...]:

@@ -13,18 +13,26 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import contlearn, learners
-from .errors import ConfigurationError, MecSizeError, ParseError, UndefinedMetricError
-from .graphs import Dag, GraphSpec, dag_to_cpdag, read_edge_list, sample_er_dag, sample_sf_dag
-from .metrics import favorable_threshold_shd, shd, shd_cpdag, sid, sid_cpdag_bounds
+from .errors import (
+    ConfigurationError,
+    DataError,
+    ParseError,
+    SingularModelError,
+    UndefinedMetricError,
+)
+from .graphs import Dag, GraphSpec, read_edge_list, sample_dag
+from .metrics import class_scores, dag_scores, favorable_threshold_shd
 from .rng import spawn_seed, substream
 from .scm import (
     Dataset,
@@ -41,7 +49,8 @@ from .varsort import empirical_variances, varsortability
 __all__ = [
     "ExperimentConfig",
     "RunRecord",
-    "LEARNER_NAMES",
+    "LEARNERS",
+    "run_learner",
     "run_benchmark",
     "write_records",
     "load_dataset_csv",
@@ -61,16 +70,62 @@ NOISE_SETTINGS = {
     "gumbel": ("gumbel", SigmaLaw.uniform(0.5, 2.0)),
 }
 
-# Learner name -> whether the raw output needs edge thresholding.
-LEARNER_NAMES = {
-    "sortnregress": False,
-    "randomregress": False,
-    "varsort-full": False,
-    "mse-gds": False,
-    "empty": False,
-    "notears": True,
-    "golem-ev": True,
-    "golem-nv": True,
+
+class Learner(NamedTuple):
+    """``settings(**keys)`` builds what ``fit(data, settings, seed)`` takes
+    from a config's settings keys, raising ``TypeError`` on an unknown key.
+    ``fit`` returns raw weights, to be thresholded if ``thresholded``."""
+
+    fit: Callable[[Dataset, object, int], WeightedDag]
+    thresholded: bool
+    settings: Callable[..., object]
+
+
+def _no_settings() -> None:
+    return None
+
+
+def _mse_gds_settings(**settings) -> dict:
+    """Keyword settings of ``learners.mse_gds``; binding them rejects an unknown key."""
+    inspect.signature(learners.mse_gds).bind(None, **settings)
+    return settings
+
+
+def _golem(variant: str) -> Learner:
+    return Learner(
+        lambda data, s, seed: contlearn.golem_fit(data, variant, s)[0],
+        True,
+        lambda **s: replace(contlearn.OptimizerSettings.penalized_defaults(variant), **s),
+    )
+
+
+# Fits look learners up through their modules at call time, so a wrapper
+# installed on a module attribute (a tracer, a test double) sees every call.
+LEARNERS = {
+    "sortnregress": Learner(
+        lambda data, s, seed: learners.sortnregress(data, s), False, learners.ParentSearchConfig
+    ),
+    "randomregress": Learner(
+        lambda data, s, seed: learners.randomregress(data, s, seed=seed),
+        False,
+        learners.ParentSearchConfig,
+    ),
+    "varsort-full": Learner(
+        lambda data, s, seed: WeightedDag(learners.variance_sort_full(data).adj.astype(float)),
+        False,
+        _no_settings,
+    ),
+    "mse-gds": Learner(lambda data, s, seed: learners.mse_gds(data, **s), False, _mse_gds_settings),
+    "empty": Learner(
+        lambda data, s, seed: WeightedDag(np.zeros((data.d, data.d))), False, _no_settings
+    ),
+    "notears": Learner(
+        lambda data, s, seed: contlearn.notears_fit(data, s)[0],
+        True,
+        lambda **s: replace(contlearn.OptimizerSettings.constrained_defaults(), **s),
+    ),
+    "golem-ev": _golem("ev"),
+    "golem-nv": _golem("nv"),
 }
 
 
@@ -89,10 +144,7 @@ class LearnerConfig:
     settings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in LEARNER_NAMES:
-            raise ConfigurationError(
-                f"unknown learner {self.name!r}; available: {sorted(LEARNER_NAMES)}"
-            )
+        _learner_settings(self.name, self.settings)  # an unknown name or key raises here
 
 
 @dataclass(frozen=True)
@@ -250,74 +302,91 @@ def _fmt(value):
     return value
 
 
+def _learner_settings(name: str, settings: dict):
+    if name not in LEARNERS:
+        raise ConfigurationError(f"unknown learner {name!r}; available: {sorted(LEARNERS)}")
+    try:
+        return LEARNERS[name].settings(**settings)
+    except TypeError as err:
+        raise ConfigurationError(f"bad settings for learner {name!r}: {err}") from None
+
+
 def run_learner(name: str, data: Dataset, settings: dict, seed: int) -> WeightedDag:
-    """Dispatch to a learner by registry name; returns raw weights."""
-    if name == "sortnregress":
-        cfg = learners.ParentSearchConfig(**settings) if settings else learners.DEFAULT_PARENT_SEARCH
-        return learners.sortnregress(data, cfg)
-    if name == "randomregress":
-        cfg = learners.ParentSearchConfig(**settings) if settings else learners.DEFAULT_PARENT_SEARCH
-        return learners.randomregress(data, cfg, seed=seed)
-    if name == "varsort-full":
-        dag = learners.variance_sort_full(data)
-        return WeightedDag(dag.adj.astype(float))
-    if name == "mse-gds":
-        return learners.mse_gds(data, **settings)
-    if name == "empty":
-        return WeightedDag(np.zeros((data.d, data.d)))
-    if name == "notears":
-        base = contlearn.OptimizerSettings.constrained_defaults()
-        opt = contlearn.OptimizerSettings(**{**_settings_dict(base), **settings})
-        west, _ = contlearn.notears_fit(data, opt)
-        return west
-    if name in ("golem-ev", "golem-nv"):
-        variant = name.split("-")[1]
-        base = contlearn.OptimizerSettings.penalized_defaults(variant)
-        opt = contlearn.OptimizerSettings(**{**_settings_dict(base), **settings})
-        west, _ = contlearn.golem_fit(data, variant, opt)
-        return west
-    raise ConfigurationError(f"unknown learner {name!r}")
+    """Fit a learner by registry name with a config's settings keys; returns raw weights."""
+    settings = _learner_settings(name, settings)
+    return LEARNERS[name].fit(data, settings, seed)
 
 
-def _settings_dict(opt: contlearn.OptimizerSettings) -> dict:
-    return asdict(opt)
-
-
-def _score_estimate(cfg: ExperimentConfig, g_true: Dag, west: WeightedDag, continuous: bool) -> dict:
+def _score_estimate(cfg: ExperimentConfig, g_true: Dag, west: WeightedDag, thresholded: bool) -> dict:
     out = {}
-    d = g_true.d
-    primary_dag = None
-    for idx, omega in enumerate(cfg.omegas):
-        effective = omega if continuous else 0.0
-        est = contlearn.threshold_and_break_cycles(west, effective)
-        if idx == 0:
-            primary_dag = est
-        out[f"shd_w{omega:g}"] = shd(g_true, est)
-        out[f"sid_w{omega:g}"] = sid(g_true, est)
+    # A learner that needs no thresholding gets threshold 0 at every omega;
+    # each distinct threshold is applied and scored once.
+    thresholds = [omega if thresholded else 0.0 for omega in cfg.omegas]
+    scored = {}
+    for omega, threshold in zip(cfg.omegas, thresholds):
+        if threshold not in scored:
+            est = contlearn.threshold_and_break_cycles(west, threshold)
+            scored[threshold] = (est, dag_scores(g_true, est))
+        scores = scored[threshold][1]
+        out[f"shd_w{omega:g}"] = scores["shd"]
+        out[f"sid_w{omega:g}"] = scores["sid"]
     if cfg.favorable:
-        omega_fav, shd_fav = favorable_threshold_shd(west, g_true)
-        out["shd_favorable"] = shd_fav
-        out["omega_favorable"] = omega_fav
+        out["omega_favorable"], out["shd_favorable"] = favorable_threshold_shd(west, g_true)
+    primary, scores = scored[thresholds[0]]
     if cfg.mec_metrics:
-        c_true = dag_to_cpdag(g_true)
-        c_est = dag_to_cpdag(primary_dag)
-        out["shd_cpdag"] = shd_cpdag(c_true, c_est)
-        try:
-            lower, upper = sid_cpdag_bounds(g_true, c_est, cap=cfg.mec_cap)
-            out["sid_mec_lower"] = lower
-            out["sid_mec_upper"] = upper
-        except MecSizeError:
-            out["sid_mec_lower"] = None
-            out["sid_mec_upper"] = None
-    out["sid_normalizer"] = d * (d - 1)
-    out["true_edges"] = g_true.n_edges
+        out.update(class_scores(g_true, primary, cap=cfg.mec_cap))
+    out["sid_normalizer"] = scores["sid_normalizer"]
+    out["true_edges"] = scores["true_edges"]
     return out
+
+
+def _evaluate_sample(
+    cfg: ExperimentConfig, truth: Dag, sample: Dataset, learner_list, seed_path, est_key, identity
+) -> tuple[list[RunRecord], dict]:
+    """Run every learner on every regime of one sample and score each estimate.
+
+    A learner's seed is ``spawn_seed(cfg.seed, *seed_path, name)``; its
+    estimates are keyed ``(*est_key, name, regime)``; ``identity`` holds the
+    record fields that describe the sample.
+    """
+    datasets = {"raw": sample}
+    if "standardized" in cfg.regimes:
+        datasets["standardized"] = standardize(sample)
+    chash = cfg.config_hash()
+    records = []
+    estimates = {}
+    for learner in learner_list:
+        learner_seed = spawn_seed(cfg.seed, *seed_path, learner.name)
+        for regime in cfg.regimes:
+            start = time.perf_counter()
+            error = None
+            metrics: dict = {}
+            try:
+                west = run_learner(learner.name, datasets[regime], learner.settings, learner_seed)
+                metrics = _score_estimate(cfg, truth, west, LEARNERS[learner.name].thresholded)
+                estimates[(*est_key, learner.name, regime)] = west
+            # A fit that fails on this sample becomes an error row; anything
+            # else is a bug or a bad config and stops the run.
+            except (SingularModelError, DataError, np.linalg.LinAlgError) as err:
+                error = f"{type(err).__name__}: {err}"
+            records.append(
+                RunRecord(
+                    **identity,
+                    learner=learner.name,
+                    regime=regime,
+                    learner_seed=learner_seed,
+                    metrics=metrics,
+                    error=error,
+                    wall_seconds=time.perf_counter() - start,
+                    config_hash=chash,
+                )
+            )
+    return records, estimates
 
 
 def _run_instance(cfg: ExperimentConfig, si: int, rep: int) -> tuple[list[RunRecord], dict]:
     spec, token = cfg.settings[si]
-    sampler = sample_er_dag if spec.model == "ER" else sample_sf_dag
-    g = sampler(spec, spawn_seed(cfg.seed, "bench", "graph", si, rep))
+    g = sample_dag(spec, spawn_seed(cfg.seed, "bench", "graph", si, rep))
     m = sample_linear_scm(
         g, cfg.weight_law, cfg.noise_law(token), spawn_seed(cfg.seed, "bench", "scm", si, rep)
     )
@@ -327,46 +396,12 @@ def _run_instance(cfg: ExperimentConfig, si: int, rep: int) -> tuple[list[RunRec
         v = varsortability(g, empirical_variances(data)).v
     except UndefinedMetricError:
         v = None
-    datasets = {"raw": data}
-    if "standardized" in cfg.regimes:
-        datasets["standardized"] = standardize(data)
-
-    chash = cfg.config_hash()
-    setting = f"{spec.label}/{token}"
-    records = []
-    estimates = {}
-    for learner in cfg.learners:
-        learner_seed = spawn_seed(cfg.seed, "bench", "learner", si, rep, learner.name)
-        for regime in cfg.regimes:
-            start = time.perf_counter()
-            error = None
-            metrics: dict = {}
-            try:
-                west = run_learner(learner.name, datasets[regime], learner.settings, learner_seed)
-                metrics = _score_estimate(cfg, g, west, LEARNER_NAMES[learner.name])
-                estimates[(si, rep, learner.name, regime)] = west
-            except Exception as err:  # record the failure, keep the run going
-                error = f"{type(err).__name__}: {err}"
-            records.append(
-                RunRecord(
-                    setting=setting,
-                    graph_model=spec.model,
-                    d=spec.d,
-                    k=spec.k,
-                    noise=token,
-                    repetition=rep,
-                    learner=learner.name,
-                    regime=regime,
-                    varsortability=v,
-                    data_seed=data_seed,
-                    learner_seed=learner_seed,
-                    metrics=metrics,
-                    error=error,
-                    wall_seconds=time.perf_counter() - start,
-                    config_hash=chash,
-                )
-            )
-    return records, estimates
+    identity = dict(
+        setting=f"{spec.label}/{token}", graph_model=spec.model, d=spec.d, k=spec.k, noise=token,
+        repetition=rep, varsortability=v, data_seed=data_seed,
+    )
+    seed_path = ("bench", "learner", si, rep)
+    return _evaluate_sample(cfg, g, data, cfg.learners, seed_path, (si, rep), identity)
 
 
 def run_benchmark(cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:
@@ -510,47 +545,21 @@ def realdata_study(data_path, truth_path, cfg: ExperimentConfig, out_dir=None) -
     learner_list = list(cfg.learners)
     if all(l.name != "empty" for l in learner_list):
         learner_list.append(LearnerConfig("empty"))
-    chash = cfg.config_hash()
     records = []
     estimates = {}
     for rep in range(cfg.repetitions):
         data_seed = spawn_seed(cfg.seed, "realdata", "bootstrap", rep)
         sample = bootstrap(data, data_seed)
         v = varsortability(truth, empirical_variances(sample)).v
-        datasets = {"raw": sample}
-        if "standardized" in cfg.regimes:
-            datasets["standardized"] = standardize(sample)
-        for learner in learner_list:
-            learner_seed = spawn_seed(cfg.seed, "realdata", "learner", rep, learner.name)
-            for regime in cfg.regimes:
-                start = time.perf_counter()
-                error = None
-                metrics: dict = {}
-                try:
-                    west = run_learner(learner.name, datasets[regime], learner.settings, learner_seed)
-                    metrics = _score_estimate(cfg, truth, west, LEARNER_NAMES[learner.name])
-                    estimates[(0, rep, learner.name, regime)] = west
-                except Exception as err:
-                    error = f"{type(err).__name__}: {err}"
-                records.append(
-                    RunRecord(
-                        setting="realdata",
-                        graph_model="real",
-                        d=data.d,
-                        k=0,
-                        noise="observational",
-                        repetition=rep,
-                        learner=learner.name,
-                        regime=regime,
-                        varsortability=v,
-                        data_seed=data_seed,
-                        learner_seed=learner_seed,
-                        metrics=metrics,
-                        error=error,
-                        wall_seconds=time.perf_counter() - start,
-                        config_hash=chash,
-                    )
-                )
+        identity = dict(
+            setting="realdata", graph_model="real", d=data.d, k=0, noise="observational",
+            repetition=rep, varsortability=v, data_seed=data_seed,
+        )
+        recs, ests = _evaluate_sample(
+            cfg, truth, sample, learner_list, ("realdata", "learner", rep), (0, rep), identity
+        )
+        records.extend(recs)
+        estimates.update(ests)
     if out_dir is not None:
         write_records(cfg, records, out_dir, estimates=estimates)
     return records

@@ -10,52 +10,31 @@ parameterizations of the true graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, MecSizeError
-from .graphs import Cpdag, Dag, d_separated_adj, descendant_matrix, enumerate_mec, reachability_adj
+from .graphs import (
+    Cpdag,
+    Dag,
+    d_separated_adj,
+    dag_to_cpdag,
+    descendant_matrix,
+    enumerate_mec,
+    reachability_adj,
+)
 from .rng import substream
 from .scm import WeightedDag
 
 __all__ = [
-    "MetricRecord",
     "shd",
     "shd_cpdag",
     "sid",
     "sid_oracle_linear",
     "sid_cpdag_bounds",
     "favorable_threshold_shd",
+    "dag_scores",
+    "class_scores",
 ]
-
-
-@dataclass(frozen=True)
-class MetricRecord:
-    """One scored comparison between an estimate and the ground truth.
-
-    ``sid`` is bounded by ``sid_normalizer = d (d - 1)``; ``true_edges``
-    gives the edge-count context for reading ``shd``.
-    """
-
-    shd: int
-    sid: int
-    sid_normalizer: int
-    true_edges: int
-    sid_mec_lower: int | None = None
-    sid_mec_upper: int | None = None
-    shd_cpdag: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "shd": self.shd,
-            "sid": self.sid,
-            "sid_normalizer": self.sid_normalizer,
-            "true_edges": self.true_edges,
-            "sid_mec_lower": self.sid_mec_lower,
-            "sid_mec_upper": self.sid_mec_upper,
-            "shd_cpdag": self.shd_cpdag,
-        }
 
 
 def _check_same_d(a, b):
@@ -240,3 +219,28 @@ def favorable_threshold_shd(w_est: WeightedDag | np.ndarray, g_true: Dag) -> tup
         if best is None or value < best[1]:
             best = (omega, value)
     return best
+
+
+def dag_scores(g_true: Dag, g_est: Dag) -> dict:
+    """Edit and intervention distance of an estimate, with the bound on
+    ``sid`` (``sid_normalizer = d (d - 1)``) and the true edge count that
+    give the context for reading them."""
+    d = g_true.d
+    return {
+        "shd": shd(g_true, g_est),
+        "sid": sid(g_true, g_est),
+        "sid_normalizer": d * (d - 1),
+        "true_edges": g_true.n_edges,
+    }
+
+
+def class_scores(g_true: Dag, g_est: Dag, cap: int = 10_000) -> dict:
+    """Equivalence-class scores of an estimate. The intervention-distance
+    bounds are ``None`` when the estimated class exceeds ``cap`` members."""
+    c_true, c_est = dag_to_cpdag(g_true), dag_to_cpdag(g_est)
+    out = {"shd_cpdag": shd_cpdag(c_true, c_est)}
+    try:
+        out["sid_mec_lower"], out["sid_mec_upper"] = sid_cpdag_bounds(g_true, c_est, cap=cap)
+    except MecSizeError:
+        out["sid_mec_lower"] = out["sid_mec_upper"] = None
+    return out

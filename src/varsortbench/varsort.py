@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UndefinedMetricError
-from .graphs import Dag, GraphSpec, sample_er_dag, sample_sf_dag
+from .graphs import Dag, GraphSpec, sample_dag
 from .rng import spawn_seed, substream
 from .scm import Dataset, LinearScm, NoiseSpec, WeightLaw, population_covariance, sample_linear_scm
 
@@ -146,10 +146,9 @@ def variance_profile(
         n_positions = spec.d
     if not 1 <= n_positions <= spec.d:
         raise ConfigurationError("n_positions must lie in [1, d]")
-    sampler = sample_er_dag if spec.model == "ER" else sample_sf_dag
     total = np.zeros(spec.d)
     for r in range(reps):
-        g = sampler(spec, spawn_seed(seed, "varsort", "profile", "graph", r))
+        g = sample_dag(spec, spawn_seed(seed, "varsort", "profile", "graph", r))
         m = sample_linear_scm(g, weight_law, noise_law, spawn_seed(seed, "varsort", "profile", "scm", r))
         variances = np.diag(population_covariance(m))
         total += variances[list(g.order)]

@@ -58,7 +58,12 @@ class TestPipeline:
         estimate.write_text("0 1\n")
         code, out = run_cli(capsys, "evaluate", "--truth", str(truth), "--estimate", str(estimate))
         assert code == 0
-        assert json.loads(out)["shd"] == 1
+        record = json.loads(out)
+        assert record["shd"] == 1
+        assert list(record) == [
+            "shd", "sid", "sid_normalizer", "true_edges", "sid_mec_lower", "sid_mec_upper", "shd_cpdag"
+        ]
+        assert record["sid_mec_lower"] is None and record["shd_cpdag"] is None
 
 
 class TestChainCommand:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from varsortbench.errors import ConfigurationError, ParseError
+from varsortbench import learners
+from varsortbench.errors import ConfigurationError, ParseError, SingularModelError
 from varsortbench.graphs import GraphSpec, dag_from_edges, sample_er_dag, write_edge_list
 from varsortbench.harness import (
+    LEARNERS,
     ExperimentConfig,
     LearnerConfig,
     bootstrap,
@@ -113,20 +115,40 @@ class TestRunBenchmark:
         }
         assert small_rows == big_rows
 
-    def test_learner_failure_marks_row_and_continues(self):
-        cfg = small_config(
-            learners=(LearnerConfig("sortnregress", {"no_such_option": 1}), LearnerConfig("varsort-full"))
-        )
+    def test_bad_settings_key_raises(self):
+        for name in ("sortnregress", "mse-gds", "empty", "notears", "golem-ev"):
+            with pytest.raises(ConfigurationError):
+                LearnerConfig(name, {"no_such_option": 1})
+
+    def test_learner_failure_marks_row_and_continues(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularModelError("singular on this sample")
+
+        monkeypatch.setattr(learners, "sortnregress", singular)
+        monkeypatch.delenv("VSB_THREADS", raising=False)
+        cfg = small_config()
         records = run_benchmark(cfg)
         failed = [r for r in records if r.learner == "sortnregress"]
         fine = [r for r in records if r.learner == "varsort-full"]
-        assert all(r.error for r in failed)
-        assert all(r.error is None for r in fine)
+        assert failed and all(r.error.startswith("SingularModelError") for r in failed)
+        assert fine and all(r.error is None for r in fine)
 
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "out"
-        cfg = small_config(favorable=True, omegas=(0.3, 0.001), mec_metrics=True)
+        golem = {"iterations": 200}
+        settings = {"notears": {"lambda1": 0.1}, "golem-ev": golem, "golem-nv": golem}
+        cfg = small_config(
+            learners=tuple(LearnerConfig(name, settings.get(name, {})) for name in LEARNERS),
+            favorable=True,
+            omegas=(0.3, 0.001),
+            mec_metrics=True,
+        )
         records = run_benchmark(cfg, out_dir=out)
+        assert len(records) == 2 * len(LEARNERS) * 2
+        assert all(r.error is None for r in records)
+        for rec in records:
+            if not LEARNERS[rec.learner].thresholded:
+                assert rec.metrics["sid_w0.3"] == rec.metrics["sid_w0.001"]
         assert (out / "records.csv").exists()
         assert (out / "records.json").exists()
         assert (out / "config.json").exists()

@@ -13,7 +13,6 @@ from varsortbench.graphs import (
     sample_er_dag,
 )
 from varsortbench.metrics import (
-    MetricRecord,
     favorable_threshold_shd,
     shd,
     shd_cpdag,
@@ -176,10 +175,3 @@ class TestFavorableThreshold:
             fixed = shd(truth, threshold_and_break_cycles(west, 0.3))
             assert best <= fixed
 
-
-class TestMetricRecord:
-    def test_as_dict(self):
-        rec = MetricRecord(shd=3, sid=5, sid_normalizer=20, true_edges=4)
-        d = rec.as_dict()
-        assert d["shd"] == 3 and d["sid"] == 5
-        assert d["sid_mec_lower"] is None
