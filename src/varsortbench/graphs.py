@@ -7,6 +7,7 @@ Graphs are immutable after construction; all operations are pure.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -425,15 +426,43 @@ def dag_to_cpdag(g: Dag) -> Cpdag:
     return Cpdag(directed, undirected)
 
 
+def _mec_size_lower_bound(undirected: np.ndarray) -> int:
+    """Product over the chain components of (largest clique size)!.
+
+    A lower bound on the size of the class of a CPDAG with this undirected
+    part: its members orient each chain component independently, and every
+    ordering of a clique starts some consistent orientation of its
+    (chordal) component. A maximum-cardinality search numbers the nodes so
+    that each node's numbered neighbours form a clique, the largest of which
+    is the largest clique of the component.
+    """
+    weight = np.zeros(undirected.shape[0], dtype=int)
+    numbered = np.zeros(undirected.shape[0], dtype=bool)
+    bound, largest = 1, 0
+    for _ in range(undirected.shape[0]):
+        v = int(np.argmax(np.where(numbered, -1, weight)))
+        if weight[v] == 0:  # no numbered neighbour: a new component starts
+            bound *= math.factorial(largest)
+            largest = 0
+        largest = max(largest, int(weight[v]) + 1)
+        numbered[v] = True
+        weight[undirected[v]] += 1
+    return bound * math.factorial(largest)
+
+
 def enumerate_mec(c: Cpdag, cap: int = 10_000) -> list[Dag]:
     """All consistent DAG extensions of ``c``.
 
     Recursive orientation with rule-closure pruning; every leaf is verified
     by mapping back to the class representative. Raises ``MecSizeError``
-    when more than ``cap`` members exist.
+    when more than ``cap`` members exist, before enumerating any when a
+    lower bound on the class size already exceeds ``cap``.
     """
     if cap < 1:
         raise ConfigurationError("cap must be at least 1")
+    bound = _mec_size_lower_bound(c.undirected)
+    if bound > cap:
+        raise MecSizeError(f"equivalence class has at least {bound} members, beyond the cap of {cap}")
     out: list[Dag] = []
 
     def leaf(directed):

@@ -317,24 +317,34 @@ def run_learner(name: str, data: Dataset, settings: dict, seed: int) -> Weighted
     return LEARNERS[name].fit(data, settings, seed)
 
 
-def _score_estimate(cfg: ExperimentConfig, g_true: Dag, west: WeightedDag, thresholded: bool) -> dict:
+def _score_estimate(
+    cfg: ExperimentConfig, g_true: Dag, west: WeightedDag, thresholded: bool, scored: dict
+) -> dict:
+    """Scores of one estimate. ``scored`` maps each thresholded graph already
+    scored against ``g_true`` to its scores and is shared by the estimates of
+    one sample, so each distinct graph is scored once."""
     out = {}
     # A learner that needs no thresholding gets threshold 0 at every omega;
-    # each distinct threshold is applied and scored once.
+    # each distinct threshold is applied once.
     thresholds = [omega if thresholded else 0.0 for omega in cfg.omegas]
-    scored = {}
+    graphs = {}
     for omega, threshold in zip(cfg.omegas, thresholds):
-        if threshold not in scored:
-            est = contlearn.threshold_and_break_cycles(west, threshold)
-            scored[threshold] = (est, dag_scores(g_true, est))
-        scores = scored[threshold][1]
+        if threshold not in graphs:
+            graphs[threshold] = est = contlearn.threshold_and_break_cycles(west, threshold)
+            if est not in scored:
+                scored[est] = dag_scores(g_true, est)
+        scores = scored[graphs[threshold]]
         out[f"shd_w{omega:g}"] = scores["shd"]
         out[f"sid_w{omega:g}"] = scores["sid"]
     if cfg.favorable:
         out["omega_favorable"], out["shd_favorable"] = favorable_threshold_shd(west, g_true)
-    primary, scores = scored[thresholds[0]]
+    primary = graphs[thresholds[0]]
+    scores = scored[primary]
     if cfg.mec_metrics:
-        out.update(class_scores(g_true, primary, cap=cfg.mec_cap))
+        if "shd_cpdag" not in scores:
+            scores.update(class_scores(g_true, primary, cap=cfg.mec_cap))
+        for key in ("shd_cpdag", "sid_mec_lower", "sid_mec_upper"):
+            out[key] = scores[key]
     out["sid_normalizer"] = scores["sid_normalizer"]
     out["true_edges"] = scores["true_edges"]
     return out
@@ -355,6 +365,7 @@ def _evaluate_sample(
     chash = cfg.config_hash()
     records = []
     estimates = {}
+    scored: dict = {}
     for learner in learner_list:
         learner_seed = spawn_seed(cfg.seed, *seed_path, learner.name)
         for regime in cfg.regimes:
@@ -363,7 +374,7 @@ def _evaluate_sample(
             metrics: dict = {}
             try:
                 west = run_learner(learner.name, datasets[regime], learner.settings, learner_seed)
-                metrics = _score_estimate(cfg, truth, west, LEARNERS[learner.name].thresholded)
+                metrics = _score_estimate(cfg, truth, west, LEARNERS[learner.name].thresholded, scored)
                 estimates[(*est_key, learner.name, regime)] = west
             # A fit that fails on this sample becomes an error row; anything
             # else is a bug or a bad config and stops the run.

@@ -3,8 +3,8 @@
 ``sortnregress`` sorts nodes by increasing marginal variance and regresses
 each node on its predecessors; ``randomregress`` is the same with a random
 order and marks the performance attainable without scale information.
-Parent selection runs an L1 path by coordinate descent and picks the path
-point minimizing BIC.
+Parent selection follows the exact lasso path, computed by LARS on the Gram
+matrix, and picks the support on it that minimizes BIC.
 """
 
 from __future__ import annotations
@@ -33,84 +33,84 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParentSearchConfig:
-    """Penalty grid and solver tolerances for parent selection.
-
-    The grid is geometric with ``n_lambdas`` points from the smallest
-    penalty that zeroes all coefficients down to ``lambda_min_ratio`` times
-    that value.
+    """Parent selection: the lasso path ends at ``lambda_min_ratio`` times
+    its largest penalty, ``criterion`` scores the supports on it, and
+    ``adaptive`` reweights columns by their joint least-squares coefficients.
     """
 
-    n_lambdas: int = 100
     lambda_min_ratio: float = 1e-4
     criterion: str = "bic"
-    max_iter: int = 100
-    tol: float = 1e-6
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.n_lambdas < 1:
-            raise ConfigurationError("need at least one penalty value")
         if not 0 < self.lambda_min_ratio < 1:
             raise ConfigurationError("lambda_min_ratio must lie in (0, 1)")
         if self.criterion != "bic":
             raise ConfigurationError(f"unsupported criterion {self.criterion!r}")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ConfigurationError("tol must be positive and max_iter >= 1")
 
 
 DEFAULT_PARENT_SEARCH = ParentSearchConfig()
 
 
-def _lasso_cd_path(gram, corr, y_sq, n, lambdas, max_iter, tol):
-    """Coordinate descent along a penalty path, warm-started.
+def _lasso_path(gram, corr, lam_min):
+    """Exact lasso path by LARS with the lasso modification (Efron et al. 2004).
 
-    Drives ``1/(2n) ||y - x b||^2 + lam ||b||_1`` expressed through the
-    (p, p) Gram matrix ``gram = x^T x / n`` and ``corr = x^T y / n``, so a
-    coordinate pass costs O(p^2) regardless of n. After each full sweep the
-    solver cycles over the current support until stable. Returns the
-    (n_lambdas, p) coefficient array and per-point RSS.
+    Solves ``min_b 1/2 b^T gram b - corr^T b + lam ||b||_1`` (the lasso with
+    ``gram = x^T x / n``, ``corr = x^T y / n``) for ``lam`` from ``max |corr|
+    > 0`` down to ``lam_min``. At each knot one column enters or leaves the
+    active set. Returns the knots ``lambdas``, the coefficients ``betas``
+    there and ``supports[k]``, the active set between knots k and k + 1.
     """
     p = gram.shape[0]
-    diag = np.diag(gram).copy()
-    usable = np.flatnonzero(diag > 0)
+    diag = np.diag(gram)
+    eligible = diag > 0
     beta = np.zeros(p)
-    betas = np.empty((len(lambdas), p))
-    rss = np.empty(len(lambdas))
-
-    def sweep(indices, gb, lam):
-        max_delta = 0.0
-        for j in indices:
-            b_old = beta[j]
-            rho = corr[j] - gb[j] + diag[j] * b_old
-            b_new = np.sign(rho) * max(abs(rho) - lam, 0.0) / diag[j]
-            if b_new != b_old:
-                gb += gram[:, j] * (b_new - b_old)
-                beta[j] = b_new
-                max_delta = max(max_delta, abs(b_new - b_old))
-        return max_delta
-
-    def threshold():
-        return tol * max(1.0, float(np.abs(beta).max()))
-
-    for li, lam in enumerate(lambdas):
-        gb = gram @ beta
-        sweeps = 0
-        while sweeps < max_iter:
-            delta = sweep(usable, gb, lam)
-            sweeps += 1
-            if delta <= threshold():
-                break
-            while sweeps < max_iter:
-                support = np.flatnonzero(beta)
-                if support.size == 0:
-                    break
-                delta = sweep(support, gb, lam)
-                sweeps += 1
-                if delta <= threshold():
-                    break
-        betas[li] = beta
-        rss[li] = n * max(y_sq - 2.0 * beta @ corr + beta @ (gram @ beta), 0.0)
-    return betas, rss
+    signs = np.zeros(p)  # sign of each active coefficient, 0 when inactive
+    lam = float(np.max(np.abs(corr)))
+    dropped = None
+    lambdas, betas, supports = [], [], []
+    while True:
+        active = np.flatnonzero(signs)
+        step = np.zeros(p)
+        step[active] = np.linalg.solve(gram[np.ix_(active, active)], signs[active])
+        c = corr - gram @ beta
+        a = gram @ step
+        # Along the step the active correlations shrink as lam - gamma; an
+        # inactive column enters when its correlation c - gamma a meets them.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(a < 1.0, np.maximum(lam - c, 0.0) / (1.0 - a), np.inf)
+            down = np.where(a > -1.0, np.maximum(lam + c, 0.0) / (1.0 + a), np.inf)
+            leave = np.where(step != 0, -beta / step, np.inf)
+        if dropped is not None:
+            # A column just dropped can only come back with the other sign.
+            j, sign = dropped
+            (up if sign > 0 else down)[j] = np.inf
+        enter = np.where(eligible & (signs == 0), np.minimum(up, down), np.inf)
+        leave[leave <= 0] = np.inf
+        j_in, j_out = int(np.argmin(enter)), int(np.argmin(leave))
+        gamma = min(enter[j_in], leave[j_out])
+        if gamma >= lam - lam_min:
+            lambdas.append(lam_min)
+            betas.append(beta + (lam - lam_min) * step)
+            return np.array(lambdas), np.array(betas), supports
+        entering = enter[j_in] < leave[j_out]
+        if entering:
+            cross = gram[active, j_in]
+            resid = diag[j_in] - cross @ np.linalg.solve(gram[np.ix_(active, active)], cross)
+            if resid <= 1e-10 * diag[j_in]:  # it would make the active Gram singular
+                eligible[j_in] = False
+                continue
+        beta = beta + gamma * step
+        lam -= gamma
+        if entering:
+            signs[j_in] = 1.0 if up[j_in] <= down[j_in] else -1.0
+            dropped = None
+        else:
+            dropped = (j_out, signs[j_out])
+            signs[j_out] = beta[j_out] = 0.0
+        lambdas.append(lam)
+        betas.append(beta.copy())
+        supports.append(tuple(np.flatnonzero(signs).tolist()))
 
 
 def lasso_bic_parents(
@@ -158,16 +158,14 @@ def lasso_bic_parents(
     lam_max = float(np.max(np.abs(corr)))
     if lam_max == 0.0:
         return np.zeros(len(candidates))
-    lambdas = np.geomspace(lam_max, lam_max * cfg.lambda_min_ratio, cfg.n_lambdas)
-    betas, _ = _lasso_cd_path(gram, corr, float(y @ y) / n, n, lambdas, cfg.max_iter, cfg.tol)
+    _, _, supports = _lasso_path(gram, corr, lam_max * cfg.lambda_min_ratio)
 
     tiny = np.finfo(float).tiny
     y_sq = float(y @ y)
     best_bic = np.inf
     best = np.zeros(len(candidates))
     seen: set[tuple[int, ...]] = set()
-    for beta in betas:
-        support = tuple(int(j) for j in np.flatnonzero(beta))
+    for support in [(), *supports]:
         if support in seen:
             continue
         seen.add(support)

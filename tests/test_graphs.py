@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from varsortbench import graphs
 from varsortbench.errors import ConfigurationError, IntegrityError, MecSizeError, ParseError
 from varsortbench.graphs import (
     Cpdag,
+    _mec_size_lower_bound,
     Dag,
     GraphSpec,
     d_separated,
@@ -245,6 +247,21 @@ class TestEnumerateMec:
         with pytest.raises(MecSizeError):
             enumerate_mec(c, cap=3)
 
+    def test_large_class_fails_before_enumerating(self, monkeypatch):
+        # the complete DAG on 10 nodes has 10! members; the clique bound
+        # rejects it before a single member is checked
+        c = dag_to_cpdag(Dag(np.triu(np.ones((10, 10), dtype=bool), 1)))
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return dag_to_cpdag(g)
+
+        monkeypatch.setattr(graphs, "dag_to_cpdag", counted)
+        with pytest.raises(MecSizeError):
+            enumerate_mec(c)
+        assert calls == []
+
     def test_roundtrip_members_map_to_same_class(self):
         for seed in range(15):
             g = random_dag(6, 0.35, seed)
@@ -369,3 +386,14 @@ def test_property_sampled_graphs_sortable(seed):
     order = topological_order(g)
     pos = {node: r for r, node in enumerate(order)}
     assert all(pos[i] < pos[j] for i, j in g.edges())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_property_mec_size_lower_bound(d, p, seed):
+    c = dag_to_cpdag(random_dag(d, p, seed))
+    assert _mec_size_lower_bound(c.undirected) <= len(enumerate_mec(c))

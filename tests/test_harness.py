@@ -133,6 +133,37 @@ class TestRunBenchmark:
         assert failed and all(r.error.startswith("SingularModelError") for r in failed)
         assert fine and all(r.error is None for r in fine)
 
+    def test_each_distinct_graph_scored_once(self, monkeypatch):
+        # empty's raw and standardized estimates are equal, so a sample's
+        # estimates hold repeated graphs; each is scored once
+        from varsortbench import harness
+
+        scored = {"dag": [], "class": []}
+
+        def counted(kind, score):
+            def wrapper(g_true, g_est, **kwargs):
+                scored[kind].append((g_true, g_est))
+                return score(g_true, g_est, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "dag_scores", counted("dag", harness.dag_scores))
+        monkeypatch.setattr(harness, "class_scores", counted("class", harness.class_scores))
+        monkeypatch.delenv("VSB_THREADS", raising=False)
+        names = ("empty", "varsort-full", "sortnregress")
+        cfg = small_config(
+            learners=tuple(LearnerConfig(name) for name in names),
+            omegas=(0.3, 0.1),
+            mec_metrics=True,
+        )
+        records = run_benchmark(cfg)
+        assert all(r.error is None for r in records)
+        assert len(scored["dag"]) == len(set(scored["dag"])) < len(records)
+        assert len(scored["class"]) == len(set(scored["class"])) == len(scored["dag"])
+        by_learner = {(r.repetition, r.learner, r.regime): r.metrics for r in records}
+        for rep in range(cfg.repetitions):
+            assert by_learner[(rep, "empty", "raw")] == by_learner[(rep, "empty", "standardized")]
+
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "out"
         golem = {"iterations": 200}

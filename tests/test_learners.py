@@ -3,9 +3,10 @@ import pytest
 from scipy import stats
 
 from varsortbench.errors import ConfigurationError
-from varsortbench.graphs import GraphSpec, dag_from_edges, sample_er_dag
+from varsortbench.graphs import GraphSpec, dag_from_edges, sample_er_dag, sample_sf_dag
 from varsortbench.learners import (
     ParentSearchConfig,
+    _lasso_path,
     lasso_bic_parents,
     mse_gds,
     mse_gds_from_cov,
@@ -36,6 +37,29 @@ def names(d):
     return tuple(f"x{i}" for i in range(d))
 
 
+def centered_gram(x, y):
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean()
+    return xc.T @ xc / len(y), xc.T @ yc / len(y)
+
+
+def assert_path_kkt(gram, corr, lambdas, betas, supports, tol=1e-7):
+    """Lasso KKT conditions at every knot and at every segment midpoint,
+    where the nonzero coefficients must be the segment's support."""
+    points = list(zip(lambdas, betas))
+    for k, support in enumerate(supports):
+        beta = (betas[k] + betas[k + 1]) / 2
+        assert set(np.flatnonzero(beta)) <= set(support)
+        points.append(((lambdas[k] + lambdas[k + 1]) / 2, beta))
+    for lam, beta in points:
+        grad = gram @ beta - corr
+        for j in range(len(corr)):
+            if beta[j] != 0:
+                assert grad[j] + lam * np.sign(beta[j]) == pytest.approx(0.0, abs=tol)
+            else:
+                assert abs(grad[j]) <= lam + tol
+
+
 class TestLassoBicParents:
     def test_empty_candidates(self):
         data = Dataset(np.random.default_rng(0).normal(size=(50, 3)), names(3))
@@ -60,27 +84,73 @@ class TestLassoBicParents:
         assert clean >= 95
 
     def test_path_solver_satisfies_kkt(self):
-        # stationarity of the L1 objective at every path point
-        from varsortbench.learners import _lasso_cd_path
-
+        # stationarity of the L1 objective at every knot and segment midpoint
         rng = np.random.default_rng(2)
         x = rng.standard_normal((400, 5))
         y = x[:, 0] * 1.5 - x[:, 3] * 0.7 + 0.5 * rng.standard_normal(400)
-        xc = x - x.mean(axis=0)
-        yc = y - y.mean()
-        n = 400
-        gram = xc.T @ xc / n
-        corr = xc.T @ yc / n
+        gram, corr = centered_gram(x, y)
         lam_max = float(np.max(np.abs(corr)))
-        lambdas = np.geomspace(lam_max, lam_max * 1e-3, 20)
-        betas, _ = _lasso_cd_path(gram, corr, float(yc @ yc) / n, n, lambdas, 200, 1e-10)
-        for beta, lam in zip(betas, lambdas):
-            grad = gram @ beta - corr
-            for j in range(5):
-                if beta[j] != 0:
-                    assert grad[j] + lam * np.sign(beta[j]) == pytest.approx(0.0, abs=1e-7)
-                else:
-                    assert abs(grad[j]) <= lam + 1e-7
+        lambdas, betas, supports = _lasso_path(gram, corr, lam_max * 1e-3)
+        assert lambdas[0] == lam_max and lambdas[-1] == lam_max * 1e-3
+        assert len(supports) == len(lambdas) - 1
+        assert_path_kkt(gram, corr, lambdas, betas, supports)
+
+    def test_path_kkt_on_correlated_design(self):
+        # SF-2 hubs make the candidate columns strongly correlated; the
+        # design is the one lasso_bic_parents builds (unit scale, OLS weights)
+        g = sample_sf_dag(GraphSpec("SF", 20, 2), 31)
+        noise = NoiseSpec("exponential", None, SigmaLaw.uniform(0.5, 2.0))
+        data = simulate(sample_linear_scm(g, DEFAULT_WEIGHT_LAW, noise, 32), 1000, 33)
+        order = substream(34, "t").permutation(20)
+        for r in range(2, 20):
+            xc = data.x[:, order[:r]] - data.x[:, order[:r]].mean(axis=0)
+            xc = xc / xc.std(axis=0)
+            yc = data.x[:, order[r]] - data.x[:, order[r]].mean()
+            ols, *_ = np.linalg.lstsq(xc, yc, rcond=None)
+            gram, corr = centered_gram(xc * np.abs(ols), yc)
+            lam_max = float(np.max(np.abs(corr)))
+            assert_path_kkt(gram, corr, *_lasso_path(gram, corr, lam_max * 1e-4))
+
+    def test_path_changes_one_index_per_knot(self):
+        for seed in range(20):
+            rng = np.random.default_rng(40 + seed)
+            x = rng.standard_normal((200, 8)) @ rng.standard_normal((8, 8))
+            y = x[:, :3].sum(axis=1) + rng.standard_normal(200)
+            gram, corr = centered_gram(x, y)
+            _, _, supports = _lasso_path(gram, corr, 1e-6 * float(np.max(np.abs(corr))))
+            for before, after in zip([()] + supports, supports):
+                assert len(set(before) ^ set(after)) == 1
+
+    def test_path_skips_column_that_would_make_gram_singular(self):
+        # x2 = x0 + x1, with a correlation vector that lets x2 enter first:
+        # whichever of x0, x1 comes third would complete a singular set
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((300, 2))
+        x = np.column_stack([x, x[:, 0] + x[:, 1]])
+        gram = x.T @ x / 300
+        corr = np.array([0.5, 0.3, 0.9])
+        lambdas, _, supports = _lasso_path(gram, corr, 1e-4)
+        assert lambdas[-1] == 1e-4
+        assert all(len(s) <= 2 for s in supports)
+        assert supports[0] == (2,)
+
+    def test_collinear_and_constant_candidates(self):
+        # exact copies tie to the last bit; the tie must neither raise nor
+        # put a collinear set in the support; a constant column gets nothing
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((300, 5))
+            x[:, 1] = (2.0, -1.0, 0.5)[seed % 3] * x[:, 0]
+            x[:, 2] = x[:, 0] - 3.0 * x[:, 4]
+            x[:, 3] = 1.0
+            y = x[:, 0] + 0.5 * x[:, 4] + rng.standard_normal(300)
+            data = Dataset(np.column_stack([x, y]), names(6))
+            for cfg in (ParentSearchConfig(), ParentSearchConfig(adaptive=False)):
+                coef = lasso_bic_parents(data, 5, [0, 1, 2, 3, 4], cfg)
+                assert np.all(np.isfinite(coef))
+                assert coef[3] == 0.0
+                assert coef[0] == 0.0 or coef[1] == 0.0
+                assert not np.all(coef[[0, 2, 4]] != 0.0)
 
     def test_target_not_candidate(self):
         data = Dataset(np.random.default_rng(3).normal(size=(50, 3)), names(3))
