@@ -271,12 +271,20 @@ def descendant_matrix(g: Dag) -> np.ndarray:
 
 
 def reachability_adj(adj: np.ndarray, reflexive: bool = False) -> np.ndarray:
-    """Transitive closure of a raw adjacency matrix (no DAG validation)."""
+    """Transitive closure of a raw adjacency matrix (no DAG validation).
+
+    The union of the boolean powers ``adj^1 .. adj^d`` (``adj^d`` closes a
+    cycle through all ``d`` nodes), stopped at the first power that adds no
+    pair: each later power is that one times ``adj`` and so adds none
+    either, with or without cycles.
+    """
     d = adj.shape[0]
     e = adj.astype(np.int64)
     out = np.eye(d, dtype=bool) if reflexive else np.zeros((d, d), dtype=bool)
     power = adj.astype(bool).copy()
-    for _ in range(d - 1):
+    for _ in range(d):
+        if not (power & ~out).any():
+            break
         out |= power
         power = (power.astype(np.int64) @ e) > 0
     return out
@@ -305,6 +313,9 @@ def d_separated_adj(adj: np.ndarray, i: int, j: int, z) -> bool:
     ``{i, j} | z``.
     """
     zset = set(int(v) for v in z)
+    d = adj.shape[0]
+    if not all(0 <= v < d for v in (i, j, *zset)):
+        raise ConfigurationError(f"node indices must lie in range({d})")
     if i == j:
         raise ConfigurationError("i and j must differ")
     if i in zset or j in zset:

@@ -2,10 +2,13 @@
 
 The intervention distance counts ordered node pairs (i, j) whose effect of
 intervening on ``i`` would be falsely inferred when adjusting for the
-estimated parents of ``i``. It is computed by a graphical criterion and
-cross-checkable against an independent oracle that compares population
-regression coefficients with path-coefficient sums on random linear
-parameterizations of the true graph.
+estimated parents of ``i``. It is computed by a graphical criterion with one
+search per source node ``i``: a boolean check of the nodes on directed paths
+out of ``i``, then one Bayes-ball search from ``i`` given the estimated
+parents that marks every ``j`` reached by an open path that is not directed
+from ``i``. It is cross-checkable against an independent oracle that
+compares population regression coefficients with path-coefficient sums on
+random linear parameterizations of the true graph.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from .errors import ConfigurationError, MecSizeError
 from .graphs import (
     Cpdag,
     Dag,
-    d_separated_adj,
     dag_to_cpdag,
-    descendant_matrix,
     enumerate_mec,
     reachability_adj,
 )
@@ -82,55 +83,69 @@ def shd_cpdag(c_true: Cpdag, c_est: Cpdag) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _adjustment_valid(adj: np.ndarray, reach_refl: np.ndarray, i: int, j: int, zset) -> bool:
-    """Does adjusting for ``zset`` identify the effect of ``i`` on ``j``?
+def _truth_side(g_true: Dag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``sid`` needs of the true graph whatever the estimate: its
+    adjacency, its reflexive reachability and its strict descendants."""
+    reach_refl = reachability_adj(g_true.adj, reflexive=True)
+    return g_true.adj, reach_refl, reach_refl & ~np.eye(g_true.d, dtype=bool)
 
-    ``zset`` must not contain ``j``. Checks the generalized adjustment
-    criterion: no element of Z may descend from a node (other than ``i``)
-    on a directed path from ``i`` to ``j``, and Z must d-separate ``i``
-    and ``j`` in the graph with the first edges of those paths removed.
+
+def _sid_given_truth(truth, g_est: Dag) -> int:
+    """``sid`` against a precomputed ``_truth_side``.
+
+    Row ``i`` of every matrix below belongs to source node ``i`` and its
+    adjustment set ``Z_i``, the estimated parents of ``i``. The searches of
+    all sources run in lockstep: each step is one boolean matrix product
+    per kind of state.
     """
-    d = adj.shape[0]
-    # Nodes (other than i) lying on a directed path i -> ... -> j.
-    on_path = reach_refl[i] & reach_refl[:, j]
-    on_path[i] = False
-    if on_path.any():
-        descendants_of_path = reach_refl[on_path].any(axis=0)
-        if any(descendants_of_path[z] for z in zset):
-            return False
-        pruned = adj.copy()
-        for c in np.flatnonzero(adj[i] & on_path):
-            pruned[i, c] = False
-    else:
-        pruned = adj
-    return d_separated_adj(pruned, i, j, zset)
+    adj, reach, desc = truth
+    not_source = ~np.eye(adj.shape[0], dtype=bool)
+    z = g_est.adj.T  # z[i, v]: v is in Z_i
+    # A row whose Z_i is the true parent set adds nothing.
+    searched = (z != adj.T).any(axis=1)[:, None]
+    # an_z[i, v]: v has a reflexive descendant in Z_i, so a collider at v is open.
+    an_z = z @ reach.T
+    # j fails outright if some k != i on a directed path i -> ... -> j has
+    # a reflexive descendant in Z_i.
+    forbidden = (desc & an_z) @ reach
+    # Bayes-ball from i given Z_i; states are (node, arrived from a parent or
+    # a child, path still directed from i). Arriving from a child clears
+    # the flag, so only "down" states can still be directed.
+    frontier = (adj & searched, np.zeros_like(adj), adj.T & searched)
+    seen = [f.copy() for f in frontier]
+    passes = ~z
+    while any(f.any() for f in frontier):
+        down_directed, down_other, up = frontier
+        step = (
+            (down_directed & passes) @ adj,
+            ((down_other | up) & passes) @ adj,
+            (((down_directed | down_other) & an_z) | (up & passes)) @ adj.T,
+        )
+        frontier = tuple(new & not_source & ~old for new, old in zip(step, seen))
+        for old, new in zip(seen, frontier):
+            old |= new
+    reached_undirected = seen[1] | seen[2]
+    mistaken = np.where(z, desc, forbidden | reached_undirected) & searched
+    return int(mistaken.sum())
 
 
 def sid(g_true: Dag, g_est: Dag) -> int:
     """Count of ordered pairs with falsely inferred intervention effects.
 
     The estimate contributes only its parent sets: for each (i, j) the pair
-    is a mistake if adjusting for the estimated parents of ``i`` fails in
-    the true graph. When ``j`` itself is an estimated parent of ``i``, the
-    inferred effect is "none", a mistake exactly when ``j`` descends from
-    ``i`` in truth.
+    is a mistake if adjusting for the estimated parents ``Z`` of ``i``
+    fails in the true graph. When ``j`` itself is in ``Z``, the inferred
+    effect is "none", a mistake exactly when ``j`` descends from ``i`` in
+    truth. Otherwise the adjustment fails iff some node ``k != i`` on a
+    directed path ``i -> ... -> j`` has a reflexive descendant in ``Z``, or
+    some path from ``i`` to ``j`` that is open given ``Z`` is not directed.
+    Each source ``i`` costs one Bayes-ball search from ``i`` given ``Z``
+    that never re-enters ``i`` and tracks whether the path so far is
+    directed from ``i``; ``j`` is a mistake iff it is reached with that
+    flag cleared. A row whose ``Z`` is the true parent set of ``i`` adds 0.
     """
     _check_same_d(g_true, g_est)
-    d = g_true.d
-    adj = g_true.adj
-    desc = descendant_matrix(g_true)
-    reach_refl = reachability_adj(adj, reflexive=True)
-    mistakes = 0
-    for i in range(d):
-        zset = [int(v) for v in g_est.parents(i)]
-        for j in range(d):
-            if j == i:
-                continue
-            if j in zset:
-                mistakes += bool(desc[i, j])
-            else:
-                mistakes += not _adjustment_valid(adj, reach_refl, i, j, zset)
-    return int(mistakes)
+    return _sid_given_truth(_truth_side(g_true), g_est)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +212,8 @@ def sid_cpdag_bounds(g_true: Dag, c_est: Cpdag, cap: int = 10_000) -> tuple[int,
     members = enumerate_mec(c_est, cap=cap)
     if not members:
         raise MecSizeError("estimated class has no consistent extension")
-    values = [sid(g_true, h) for h in members]
+    truth = _truth_side(g_true)
+    values = [_sid_given_truth(truth, h) for h in members]
     return min(values), max(values)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from varsortbench.contlearn import (
     FitTrace,
@@ -25,7 +26,7 @@ from varsortbench.contlearn import (
     threshold_and_break_cycles,
 )
 from varsortbench.errors import ConfigurationError
-from varsortbench.graphs import dag_from_edges
+from varsortbench.graphs import Dag, dag_from_edges, topological_order
 from varsortbench.rng import substream
 from varsortbench.scm import (
     DEFAULT_SIGMA_LAW,
@@ -431,3 +432,20 @@ class TestFitTrace:
         lines = path.read_text().splitlines()
         assert lines[0] == "outer_iter,objective,mse,h,rho,alpha,max_delta_w"
         assert len(lines) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_threshold_returns_dag(d, density, omega, seed):
+    # Dense random weights, self-loops included, so most draws are cyclic.
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, size=(d, d)) * (rng.random((d, d)) < density)
+    dag = threshold_and_break_cycles(w, omega)
+    assert isinstance(dag, Dag)
+    assert len(topological_order(dag)) == d
+    assert not (dag.adj & (np.abs(w) < omega)).any()

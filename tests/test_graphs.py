@@ -16,6 +16,7 @@ from varsortbench.graphs import (
     dag_to_cpdag,
     descendant_matrix,
     enumerate_mec,
+    reachability_adj,
     read_edge_list,
     sample_er_dag,
     sample_sf_dag,
@@ -136,6 +137,51 @@ class TestSfSampler:
     def test_k_at_least_d_rejected(self):
         with pytest.raises(ConfigurationError):
             GraphSpec("SF", 4, 4)
+
+
+def bfs_closure(adj, reflexive):
+    """reach[k, j]: a walk of length >= 1 (or 0, if reflexive) leads from k to j."""
+    d = adj.shape[0]
+    reach = np.eye(d, dtype=bool) if reflexive else np.zeros((d, d), dtype=bool)
+    for start in range(d):
+        seen = adj[start].copy()
+        queue = [int(v) for v in np.flatnonzero(seen)]
+        while queue:
+            for v in np.flatnonzero(adj[queue.pop(0)] & ~seen):
+                seen[v] = True
+                queue.append(int(v))
+        reach[start] |= seen
+    return reach
+
+
+class TestReachabilityAdj:
+    def test_matches_bfs_on_cyclic_matrices(self):
+        # Random matrices, not DAGs: cycles and self-loops included.
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            d = int(rng.integers(1, 12))
+            adj = rng.random((d, d)) < rng.random() * 0.4
+            for reflexive in (False, True):
+                assert np.array_equal(reachability_adj(adj, reflexive=reflexive), bfs_closure(adj, reflexive))
+
+    def test_chain_needs_every_power(self):
+        d = 9
+        adj = np.zeros((d, d), dtype=bool)
+        adj[np.arange(d - 1), np.arange(1, d)] = True  # 0 -> 1 -> ... -> d-1
+        for reflexive in (False, True):
+            expected = np.triu(np.ones((d, d), dtype=bool), k=0 if reflexive else 1)
+            assert np.array_equal(reachability_adj(adj, reflexive=reflexive), expected)
+
+    def test_self_loop_and_cycles_reach_themselves(self):
+        assert reachability_adj(np.ones((1, 1), dtype=bool)).all()
+        d = 5
+        ring = np.roll(np.eye(d, dtype=bool), 1, axis=1)  # 0 -> 1 -> ... -> 4 -> 0
+        assert reachability_adj(ring).all()  # each node returns to itself after d steps
+        adj = np.zeros((4, 4), dtype=bool)
+        adj[1, 2] = adj[2, 1] = True
+        reach = reachability_adj(adj)
+        assert reach[1, 1] and reach[2, 2] and reach[1, 2] and reach[2, 1]
+        assert reach.sum() == 4
 
 
 class TestTopologicalOrder:
@@ -332,6 +378,37 @@ class TestDSeparation:
             d_separated(g, 0, 0, [])
         with pytest.raises(ConfigurationError):
             d_separated(g, 0, 1, [1])
+
+    def test_negative_index_is_not_an_alias(self):
+        # -1 would name node 2 and slip past the "i and j must differ" check.
+        g = dag_from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ConfigurationError):
+            d_separated(g, -1, 2, [])
+
+    def test_out_of_range_index(self):
+        g = dag_from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ConfigurationError):
+            d_separated(g, 0, 3, [])
+
+    def test_negative_conditioning_index(self):
+        # -2 would condition on node 1.
+        g = dag_from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ConfigurationError):
+            d_separated(g, 0, 2, [-2])
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(1)
+        for seed in range(25):
+            d = int(rng.integers(3, 9))
+            g = random_dag(d, float(rng.random()), seed + 200)
+            nxg = nx.DiGraph()
+            nxg.add_nodes_from(range(d))
+            nxg.add_edges_from(g.edges())
+            for _ in range(20):
+                i, j = (int(v) for v in rng.choice(d, size=2, replace=False))
+                z = [v for v in range(d) if v not in (i, j) and rng.random() < 0.4]
+                assert d_separated(g, i, j, z) == nx.is_d_separator(nxg, {i}, {j}, set(z))
 
     def test_exhaustive_agreement_small_graphs(self):
         # all (i, j, Z) on 4-node graphs, sampled Z on 5-node graphs

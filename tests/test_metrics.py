@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from varsortbench.contlearn import enumerate_3node_dags
 from varsortbench.errors import ConfigurationError, MecSizeError
@@ -8,8 +9,10 @@ from varsortbench.graphs import (
     Dag,
     GraphSpec,
     dag_from_edges,
+    d_separated_adj,
     dag_to_cpdag,
     enumerate_mec,
+    sample_dag,
     sample_er_dag,
 )
 from varsortbench.metrics import (
@@ -73,6 +76,107 @@ class TestShdCpdag:
         assert shd_cpdag(dag_to_cpdag(COLLIDER), dag_to_cpdag(CHAIN)) == 2
 
 
+def reflexive_closure(adj):
+    """reach[k, j]: j is k or a descendant of k, by one depth-first search per node."""
+    d = adj.shape[0]
+    reach = np.eye(d, dtype=bool)
+    for start in range(d):
+        stack = [start]
+        while stack:
+            for v in np.flatnonzero(adj[stack.pop()]):
+                if not reach[start, v]:
+                    reach[start, v] = True
+                    stack.append(int(v))
+    return reach
+
+
+def adjustment_valid_reference(adj, reach_refl, i, j, zset):
+    """Generalized adjustment criterion, one pair at a time: no element of Z
+    may descend from a node (other than i) on a directed path from i to j,
+    and Z must d-separate i and j once the first edges of those paths are
+    removed."""
+    on_path = reach_refl[i] & reach_refl[:, j]
+    on_path[i] = False
+    pruned = adj.copy()
+    if on_path.any():
+        if any(reach_refl[on_path].any(axis=0)[z] for z in zset):
+            return False
+        pruned[i, on_path] = False
+    return d_separated_adj(pruned, i, j, zset)
+
+
+def sid_reference(g_true, g_est):
+    """The per-pair criterion, one d-separation call per ordered pair."""
+    reach_refl = reflexive_closure(g_true.adj)
+    mistakes = 0
+    for i in range(g_true.d):
+        zset = [int(v) for v in g_est.parents(i)]
+        for j in range(g_true.d):
+            if j == i:
+                continue
+            if j in zset:
+                mistakes += bool(reach_refl[i, j])
+            else:
+                mistakes += not adjustment_valid_reference(g_true.adj, reach_refl, i, j, zset)
+    return mistakes
+
+
+def random_dag_adj(rng, d, p):
+    """Edges between positions of a random order, each with probability p."""
+    perm = rng.permutation(d)
+    upper = np.triu(rng.random((d, d)) < p, k=1)
+    adj = np.zeros((d, d), dtype=bool)
+    adj[np.ix_(perm, perm)] = upper
+    return adj
+
+
+small_pairs = dict(
+    d=st.integers(min_value=2, max_value=8),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.floats(min_value=0.0, max_value=1.0), **small_pairs)
+def test_property_sid_matches_reference_independent_estimate(d, p, q, seed):
+    rng = np.random.default_rng(seed)
+    g, h = Dag(random_dag_adj(rng, d, p)), Dag(random_dag_adj(rng, d, q))
+    assert sid(g, h) == sid_reference(g, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.integers(min_value=1, max_value=3), **small_pairs)
+def test_property_sid_matches_reference_perturbed_truth(d, p, flips, seed):
+    # Most parent sets stay equal to the truth's, so the shortcut for a
+    # row whose parents match fires next to rows that need the search.
+    rng = np.random.default_rng(seed)
+    adj = random_dag_adj(rng, d, p)
+    est = adj.copy()
+    for _ in range(flips):
+        a, b = rng.choice(d, size=2, replace=False)
+        est[a, b] = not est[a, b]
+    assume(not (est @ reflexive_closure(est)).diagonal().any())  # no edge closes a cycle
+    g, h = Dag(adj), Dag(est)
+    assert sid(g, h) == sid_reference(g, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keep=st.floats(min_value=0.0, max_value=1.0), **small_pairs)
+def test_property_sid_matches_reference_thinned_complete_order(d, p, keep, seed):
+    # Like varsort-full: every pair oriented along one order, some dropped.
+    rng = np.random.default_rng(seed)
+    g, h = Dag(random_dag_adj(rng, d, p)), Dag(random_dag_adj(rng, d, 1.0) & (rng.random((d, d)) < keep))
+    assert sid(g, h) == sid_reference(g, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**small_pairs)
+def test_property_sid_of_truth_is_zero(d, p, seed):
+    g = Dag(random_dag_adj(np.random.default_rng(seed), d, p))
+    assert sid(g, g) == 0
+
+
 class TestSid:
     def test_identical_is_zero(self):
         for g in (CHAIN, COLLIDER, EMPTY3):
@@ -113,6 +217,10 @@ class TestSid:
             a = sample_er_dag(GraphSpec("ER", 4, 1), int(rng.integers(2**62)))
             b = sample_er_dag(GraphSpec("ER", 4, 1), int(rng.integers(2**62)))
             assert sid(a, b) == sid_oracle_linear(a, b, trials=5, seed=int(rng.integers(2**62)))
+        for spec in (GraphSpec("ER", 20, 2), GraphSpec("SF", 25, 2), GraphSpec("ER", 30, 1)):
+            a = sample_dag(spec, int(rng.integers(2**62)))
+            b = sample_dag(spec, int(rng.integers(2**62)))
+            assert sid(a, b) == sid_oracle_linear(a, b, trials=5, seed=int(rng.integers(2**62)))
 
 
 class TestSidCpdagBounds:
@@ -131,9 +239,8 @@ class TestSidCpdagBounds:
             est = sample_er_dag(GraphSpec("ER", 5, 2), int(rng.integers(2**62)))
             c = dag_to_cpdag(est)
             low, high = sid_cpdag_bounds(truth, c)
-            assert low <= high
-            for member in enumerate_mec(c):
-                assert low <= sid(truth, member) <= high
+            values = [sid(truth, member) for member in enumerate_mec(c)]
+            assert (low, high) == (min(values), max(values))
 
     def test_cap_propagates(self):
         und = np.ones((5, 5), dtype=bool)
