@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize as sopt
 
-from .errors import ConfigurationError, IntegrityError, SingularModelError
+from .errors import ConfigurationError, DataError, IntegrityError, SingularModelError
 from .graphs import Dag, reachability_adj
 from .metrics import shd, sid
 from .scm import Dataset, LinearScm, WeightedDag, population_covariance
@@ -38,6 +37,7 @@ __all__ = [
     "acyclicity_h_grad",
     "notears_fit",
     "golem_fit",
+    "golem_fit_batch",
     "threshold_and_break_cycles",
     "first_step_residual_variances",
     "landscape_3node",
@@ -153,48 +153,55 @@ def mse_grad(w, data: Dataset, fix_diagonal: bool = False) -> np.ndarray:
     return g
 
 
-def _mse_parts_gram(w: np.ndarray, s: np.ndarray):
-    """Total and per-node residual variances plus ``S (I - W)``."""
-    imw = np.eye(w.shape[0]) - w
+def _residual_variances(imw: np.ndarray, s: np.ndarray):
+    """Per-node residual variances ``diag((I - W)^T S (I - W))`` and
+    ``S (I - W)``, of one matrix or of each slice of a stack."""
     sim = s @ imw
-    per_node = np.einsum("ij,ij->j", imw, sim)
-    return float(per_node.sum()), per_node, sim
+    return np.einsum("...ij,...ij->...j", imw, sim), sim
 
 
-def _likelihood_value_gram(w, s, n, variant):
-    total, per_node, _ = _mse_parts_gram(w, s)
-    d = w.shape[0]
-    if variant == "ev":
-        if total <= 0:
-            raise SingularModelError("zero total residual variance")
-        return d / 2.0 * np.log(n * total)
-    if np.any(per_node <= 0):
-        raise SingularModelError("zero residual variance in some component")
-    return 0.5 * float(np.log(n * per_node).sum())
+_LIKELIHOOD_FAILURE = {
+    True: "zero total residual variance",
+    False: "zero residual variance in some component",
+}
 
 
-def _likelihood_grad_gram(w, s, variant):
-    total, per_node, sim = _mse_parts_gram(w, s)
-    d = w.shape[0]
-    if variant == "ev":
-        if total <= 0:
-            raise SingularModelError("zero total residual variance")
-        return -d * sim / total
-    if np.any(per_node <= 0):
-        raise SingularModelError("zero residual variance in some component")
-    return -sim / per_node[None, :]
+def _likelihood_failures(per_node, total, ev) -> np.ndarray:
+    """Slices whose likelihood is undefined: a zero total residual variance
+    where ``ev``, a zero per-node one elsewhere."""
+    return np.where(ev, total <= 0, (per_node <= 0).any(axis=-1))
+
+
+def _likelihood(per_node, sim, total, n, ev, grad: bool) -> np.ndarray:
+    """Likelihood score of each slice, ``(d/2) log(n MSE)`` where ``ev`` and
+    ``(1/2) sum_j log(n MSE_j)`` elsewhere, or its gradient."""
+    d = sim.shape[-1]
+    if grad:
+        scale = np.where(ev, -d, -1.0)[:, None, None]
+        return scale * sim / np.where(ev[:, None, None], total[:, None, None], per_node[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the variant not taken
+        return np.where(ev, d / 2.0 * np.log(n * total), 0.5 * np.log(n[:, None] * per_node).sum(axis=-1))
+
+
+def _likelihood_of_one(w, data: Dataset, variant: str, grad: bool):
+    _check_variant(variant)
+    w = _as_w(w)[None]
+    per_node, sim = _residual_variances(np.eye(w.shape[-1]) - w, _gram(data)[None])
+    total = per_node.sum(axis=-1)
+    ev = np.array([variant == "ev"])
+    if _likelihood_failures(per_node, total, ev)[0]:
+        raise SingularModelError(_LIKELIHOOD_FAILURE[variant == "ev"])
+    return _likelihood(per_node, sim, total, np.array([float(data.n)]), ev, grad)[0]
 
 
 def golem_likelihood(w, data: Dataset, variant: str) -> float:
     """Gaussian likelihood score, ``(d/2) log(n MSE)`` for the equal-variance
     variant and ``(1/2) sum_j log(n MSE_j)`` for the non-equal one."""
-    _check_variant(variant)
-    return _likelihood_value_gram(_as_w(w), _gram(data), data.n, variant)
+    return float(_likelihood_of_one(w, data, variant, grad=False))
 
 
 def golem_likelihood_grad(w, data: Dataset, variant: str) -> np.ndarray:
-    _check_variant(variant)
-    return _likelihood_grad_gram(_as_w(w), _gram(data), variant)
+    return _likelihood_of_one(w, data, variant, grad=True)
 
 
 def _check_variant(variant):
@@ -225,68 +232,121 @@ _EXPM_CLAMP = 1e150
 
 
 def _expm_nonneg(a: np.ndarray, tol: float = 1e-10, max_terms: int = 80) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated series.
+    """Matrix exponential of each slice of a (B, d, d) stack, by scaling and
+    squaring with a truncated series.
 
-    Intended for the entrywise-nonnegative matrices ``W o W`` where the
-    series has no cancellation; truncation at absolute tolerance ``tol``.
-    Entries are clamped during squaring so that evaluations far outside the
-    feasible region stay finite (the solvers only need a huge penalty and a
-    correctly signed gradient there, not an exact value).
+    Intended for the entrywise-nonnegative matrices ``W o W``, where the
+    series has no cancellation. Each slice has its own scaling exponent and
+    its own series, truncated after the first term whose entries all fall
+    below ``tol``; a slice stops squaring at its exponent. So each slice gets
+    exactly the value it would get alone. Entries are clamped during
+    squaring so that evaluations far outside the feasible region stay finite
+    (the solvers only need a huge penalty and a correctly signed gradient
+    there, not an exact value).
     """
-    d = a.shape[0]
-    norm = float(np.linalg.norm(a, 1))
-    s = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    b = a / (2.0**s)
-    out = np.eye(d)
-    term = np.eye(d)
-    for k in range(1, max_terms):
-        term = term @ b / k
-        out += term
-        if float(np.abs(term).max()) < tol:
+    batch, d = a.shape[0], a.shape[-1]
+    norm = a.sum(axis=-2).max(axis=-1)  # the 1-norm, as the entries are nonnegative
+    if norm.max() <= 0.5:  # no slice is scaled: the common case, kept cheap
+        b, squarings = a, 0
+    else:
+        exponent = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5))
+        squarings = int(exponent.max())  # a NaN norm fails here
+        b = a / np.ldexp(1.0, exponent.astype(int))[:, None, None]
+    term = b  # the first term, I @ b / 1, is b exactly: b is finite and nonnegative
+    out = np.eye(d) + b
+    terms, partial_sums = [term], [out]
+    for k in range(2, max_terms):
+        if term.max() < tol:  # every slice's series has ended
             break
-    with np.errstate(over="ignore"):
-        for _ in range(s):
-            out = np.minimum(out @ out, _EXPM_CLAMP)
+        term = term @ b / k
+        out = out + term
+        terms.append(term)
+        partial_sums.append(out)
+    if batch > 1:
+        # A slice whose series ended before the last term takes its own sum.
+        ended = np.max(terms, axis=(-2, -1)) < tol
+        ended[-1] = True
+        last = ended.argmax(axis=0)
+        for s in np.flatnonzero(last < len(terms) - 1):
+            out[s] = partial_sums[last[s]][s]
+    if squarings:
+        shortest = int(exponent.min())
+        with np.errstate(over="ignore"):
+            for r in range(squarings):
+                squared = np.minimum(out @ out, _EXPM_CLAMP)
+                out = squared if r < shortest else np.where((exponent > r)[:, None, None], squared, out)
     return out
+
+
+def _acyclicity(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``h`` of each slice of a (B, d, d) stack and its gradient ``2 W o exp(W o W)^T``."""
+    e = _expm_nonneg(w * w)
+    return e.trace(axis1=-2, axis2=-1) - w.shape[-1], e.swapaxes(-1, -2) * 2.0 * w
 
 
 def acyclicity_h(w) -> float:
     """``tr(exp(W o W)) - d``: non-negative, zero iff the support is acyclic."""
-    w = _as_w(w)
-    e = _expm_nonneg(w * w)
-    return float(np.trace(e)) - w.shape[0]
+    return float(_acyclicity(_as_w(w)[None])[0][0])
 
 
 def acyclicity_h_grad(w) -> np.ndarray:
-    w = _as_w(w)
-    e = _expm_nonneg(w * w)
-    return e.T * 2.0 * w
+    return _acyclicity(_as_w(w)[None])[1][0]
 
 
-def _h_and_grad(w):
-    e = _expm_nonneg(w * w)
-    return float(np.trace(e)) - w.shape[0], e.T * 2.0 * w
+def _golem_objective(w, s, n, ev, lam1, lam2, value: bool):
+    """Penalized likelihood of each slice of a (B, d, d) stack, or its gradient.
+
+    Slice ``b`` scores ``w[b]`` on the Gram matrix ``s[b]`` of ``n[b]``
+    samples, with the equal-variance likelihood where ``ev[b]``: likelihood
+    + ``-log|det(I - W)|`` + ``lam1[b] ||W||_1`` + ``lam2[b] h(W)``. Returns
+    ``(out, failed)``: ``failed`` maps each slice whose model is singular at
+    ``w`` to the reason, and ``out`` is ``None`` if any slice failed. Else
+    ``out`` is the gradient stack or, with ``value``, the objective, the
+    total residual variance and ``h`` of each slice.
+    """
+    imw = np.eye(w.shape[-1]) - w
+    sign, logabs = np.linalg.slogdet(imw)
+    per_node, sim = _residual_variances(imw, s)
+    total = per_node.sum(axis=-1)
+    # A gradient also refuses a non-finite determinant, so no step starts
+    # from non-finite weights.
+    det_failed = sign == 0 if value else ~np.isfinite(logabs)
+    failed = det_failed | _likelihood_failures(per_node, total, ev)
+    if failed.any():
+        det_reason = "det(I - W) vanished" + ("" if value else " during optimization")
+        return None, {
+            int(b): det_reason if det_failed[b] else _LIKELIHOOD_FAILURE[bool(ev[b])]
+            for b in np.flatnonzero(failed)
+        }
+    h, h_grad = _acyclicity(w)
+    if value:
+        likelihood = _likelihood(per_node, sim, total, n, ev, grad=False)
+        return (likelihood - logabs + lam1 * np.abs(w).sum(axis=(-2, -1)) + lam2 * h, total, h), {}
+    grad = _likelihood(per_node, sim, total, n, ev, grad=True)
+    grad += np.linalg.inv(imw).swapaxes(-1, -2)
+    grad += lam1[:, None, None] * np.sign(w)
+    grad += lam2[:, None, None] * h_grad
+    return grad, {}
+
+
+def _objective_of_one(w, data: Dataset, variant: str, lambda1: float, lambda2: float, value: bool):
+    _check_variant(variant)
+    out, failed = _golem_objective(
+        _as_w(w)[None], _gram(data)[None], np.array([float(data.n)]), np.array([variant == "ev"]),
+        np.array([lambda1]), np.array([lambda2]), value,
+    )
+    if failed:
+        raise SingularModelError(failed[0])
+    return out
 
 
 def golem_objective(w, data: Dataset, variant: str, lambda1: float, lambda2: float) -> float:
     """Likelihood score + logdet correction + L1 + soft acyclicity penalty."""
-    w = _as_w(w)
-    return (
-        golem_likelihood(w, data, variant)
-        + logdet_penalty(w)
-        + lambda1 * float(np.abs(w).sum())
-        + lambda2 * acyclicity_h(w)
-    )
+    return float(_objective_of_one(w, data, variant, lambda1, lambda2, value=True)[0][0])
 
 
 def golem_objective_grad(w, data: Dataset, variant: str, lambda1: float, lambda2: float) -> np.ndarray:
-    w = _as_w(w)
-    return (
-        golem_likelihood_grad(w, data, variant)
-        + logdet_penalty_grad(w)
-        + lambda1 * np.sign(w)
-        + lambda2 * acyclicity_h_grad(w)
-    )
+    return _objective_of_one(w, data, variant, lambda1, lambda2, value=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +363,8 @@ def notears_fit(data: Dataset, settings: OptimizerSettings | None = None) -> tup
     to shrink by ``progress_factor``. Columns are de-meaned first. Returns
     the raw weight matrix (thresholding is a separate step) and a trace.
     """
+    import scipy.optimize as sopt  # deferred: the only use of scipy, and slow to import
+
     settings = settings or OptimizerSettings.constrained_defaults()
     x = data.x - data.x.mean(axis=0)
     n, d = x.shape
@@ -312,10 +374,15 @@ def notears_fit(data: Dataset, settings: OptimizerSettings | None = None) -> tup
     def unpack(vec):
         return (vec[: d * d] - vec[d * d :]).reshape(d, d)
 
+    def total_mse(w):
+        per_node, sim = _residual_variances(np.eye(d) - w, s)
+        return float(per_node.sum()), sim
+
     def objective(vec):
         w = unpack(vec)
-        total, _, sim = _mse_parts_gram(w, s)
-        h_val, h_grad = _h_and_grad(w)
+        total, sim = total_mse(w)
+        h_val, h_grad = _acyclicity(w[None])
+        h_val, h_grad = float(h_val[0]), h_grad[0]
         val = 0.5 * total + 0.5 * rho * h_val**2 + alpha * h_val + lam * vec.sum()
         smooth_grad = -sim + (rho * h_val + alpha) * h_grad
         grad = np.concatenate([(smooth_grad + lam).ravel(), (-smooth_grad + lam).ravel()])
@@ -351,12 +418,12 @@ def notears_fit(data: Dataset, settings: OptimizerSettings | None = None) -> tup
         h_val = h_new
         alpha += rho * h_val
         w_now = unpack(vec)
-        total_mse, _, _ = _mse_parts_gram(w_now, s)
+        total, _ = total_mse(w_now)
         trace.rows.append(
             FitTraceRow(
                 outer_iter=outer,
                 objective=float(sol.fun),
-                mse=total_mse,
+                mse=total,
                 h=h_val,
                 rho=rho,
                 alpha=alpha,
@@ -385,73 +452,110 @@ def golem_fit(
 
     Runs exactly ``settings.iterations`` adaptive-moment steps; no early
     stopping. Raises ``SingularModelError`` (carrying the partial trace) if
-    the likelihood degenerates.
+    the likelihood degenerates. A batch of one of ``golem_fit_batch``.
     """
-    _check_variant(variant)
-    settings = settings or OptimizerSettings.penalized_defaults(variant)
-    x = data.x - data.x.mean(axis=0)
-    n, d = x.shape
-    s = x.T @ x / n
-    lam1, lam2 = settings.lambda1, settings.lambda2
+    (result,) = golem_fit_batch([(data, variant, settings)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    def full_grad(w):
-        imw = np.eye(d) - w
-        sign, logabs = np.linalg.slogdet(imw)
-        if sign == 0 or not np.isfinite(logabs):
-            raise SingularModelError("det(I - W) vanished during optimization", trace=trace)
-        grad = _likelihood_grad_gram(w, s, variant)
-        grad += np.linalg.inv(imw).T
-        grad += lam1 * np.sign(w)
-        h_val, h_grad = _h_and_grad(w)
-        grad += lam2 * h_grad
-        return grad, h_val, -float(logabs)
 
-    def full_value(w, h_val, neg_logdet):
-        return (
-            _likelihood_value_gram(w, s, n, variant)
-            + neg_logdet
-            + lam1 * float(np.abs(w).sum())
-            + lam2 * h_val
-        )
+def golem_fit_batch(problems) -> list:
+    """Fit several ``(data, variant, settings)`` problems, each as ``golem_fit``
+    would, in lockstep.
 
-    w = np.zeros((d, d))
-    m1 = np.zeros_like(w)
-    m2 = np.zeros_like(w)
+    Problems with the same node count, ``iterations`` and ``step_size`` take
+    their steps together, one stacked evaluation of the objective per step.
+    Each slice follows exactly the arithmetic of a fit on its own, so no
+    result depends on the rest of the batch. Returns, in problem order, what
+    ``golem_fit`` would return or the exception it would raise; a fit that
+    fails leaves the batch and the others go on.
+    """
+    groups: dict = {}
+    for index, (data, variant, settings) in enumerate(problems):
+        _check_variant(variant)
+        settings = settings or OptimizerSettings.penalized_defaults(variant)
+        key = (data.d, settings.iterations, settings.step_size)
+        groups.setdefault(key, []).append((index, data, variant, settings))
+    outcomes: dict = {}
+    for (_, iterations, step_size), members in groups.items():
+        outcomes.update(_golem_lockstep(members, iterations, step_size))
+    return [outcomes[index] for index in range(len(problems))]
+
+
+def _golem_lockstep(members, iterations: int, step_size: float) -> dict:
+    """Adam steps on a stack of ``(index, data, variant, settings)`` problems;
+    returns each problem's outcome by index."""
+    grams = []
+    for _, data, _, _ in members:
+        x = data.x - data.x.mean(axis=0)
+        grams.append(x.T @ x / data.n)
+    outcomes: dict = {}
+    traces = {index: FitTrace() for index, *_ in members}
+    # Row k of every array below belongs to the fit live[k]; a failed fit's row is dropped.
+    live = np.array([index for index, *_ in members])
+    s = np.stack(grams)
+    n = np.array([float(data.n) for _, data, _, _ in members])
+    ev = np.array([variant == "ev" for _, _, variant, _ in members])
+    lam1 = np.array([settings.lambda1 for *_, settings in members])
+    lam2 = np.array([settings.lambda2 for *_, settings in members])
+    fix = np.array([settings.fix_diagonal for *_, settings in members])
+    w = np.zeros(s.shape)
+    m1, m2, w_at_last_row = w.copy(), w.copy(), w.copy()
+
+    def drop(failed):
+        for row, reason in failed.items():
+            outcomes[live[row]] = SingularModelError(reason, trace=traces[live[row]])
+        keep = np.ones(len(live), dtype=bool)
+        keep[list(failed)] = False
+        return [a[keep] for a in (live, s, n, ev, lam1, lam2, fix, w, m1, m2, w_at_last_row)]
+
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    trace = FitTrace()
-    trace_every = max(1, settings.iterations // 200)
-    w_at_last_row = w.copy()
-    try:
-        for t in range(1, settings.iterations + 1):
-            grad, h_val, neg_logdet = full_grad(w)
-            m1 = beta1 * m1 + (1 - beta1) * grad
-            m2 = beta2 * m2 + (1 - beta2) * grad**2
-            m1_hat = m1 / (1 - beta1**t)
-            m2_hat = m2 / (1 - beta2**t)
-            w = w - settings.step_size * m1_hat / (np.sqrt(m2_hat) + eps)
-            if settings.fix_diagonal:
-                np.fill_diagonal(w, 0.0)
-            if t % trace_every == 0 or t == settings.iterations:
-                h_now, _ = _h_and_grad(w)
-                total_mse, _, _ = _mse_parts_gram(w, s)
-                trace.rows.append(
+    trace_every = max(1, iterations // 200)
+    diagonal = slice(None, None, s.shape[-1] + 1)
+    for t in range(1, iterations + 1):
+        grad, failed = _golem_objective(w, s, n, ev, lam1, lam2, value=False)
+        if failed:
+            live, s, n, ev, lam1, lam2, fix, w, m1, m2, w_at_last_row = drop(failed)
+            if not live.size:
+                return outcomes
+            grad, _ = _golem_objective(w, s, n, ev, lam1, lam2, value=False)
+        m1 = beta1 * m1 + (1 - beta1) * grad
+        m2 = beta2 * m2 + (1 - beta2) * grad**2
+        m1_hat = m1 / (1 - beta1**t)
+        m2_hat = m2 / (1 - beta2**t)
+        w = w - step_size * m1_hat / (np.sqrt(m2_hat) + eps)
+        if fix.any():
+            w.reshape(len(live), -1)[fix, diagonal] = 0.0
+        if t % trace_every == 0 or t == iterations:
+            out, failed = _golem_objective(w, s, n, ev, lam1, lam2, value=True)
+            if failed:
+                live, s, n, ev, lam1, lam2, fix, w, m1, m2, w_at_last_row = drop(failed)
+                if not live.size:
+                    return outcomes
+                out, _ = _golem_objective(w, s, n, ev, lam1, lam2, value=True)
+            delta = np.abs(w - w_at_last_row).max(axis=(-2, -1))
+            for row, (index, objective, total, h) in enumerate(zip(live, *out)):
+                traces[index].rows.append(
                     FitTraceRow(
                         outer_iter=t,
-                        objective=full_value(w, h_now, logdet_penalty(w)),
-                        mse=total_mse,
-                        h=h_now,
+                        objective=float(objective),
+                        mse=float(total),
+                        h=float(h),
                         rho=float("nan"),
                         alpha=float("nan"),
-                        max_delta_w=float(np.abs(w - w_at_last_row).max()),
+                        max_delta_w=float(delta[row]),
                     )
                 )
-                w_at_last_row = w.copy()
-    except SingularModelError as err:
-        err.trace = trace
-        raise
-    trace.w = w
-    trace.converged = True
-    return WeightedDag(w), trace
+            w_at_last_row = w.copy()
+    for row, index in enumerate(live):
+        traces[index].w = w[row]
+        traces[index].converged = True
+        try:
+            outcomes[index] = (WeightedDag(w[row]), traces[index])
+        except DataError as err:
+            outcomes[index] = err
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,14 @@ NOISE_SETTINGS = {
 class Learner(NamedTuple):
     """``settings(**keys)`` builds what ``fit(data, settings, seed)`` takes
     from a config's settings keys, raising ``TypeError`` on an unknown key.
-    ``fit`` returns raw weights, to be thresholded if ``thresholded``."""
+    ``fit`` returns raw weights, to be thresholded if ``thresholded``.
+    Where set, ``batch(data, settings)`` is the same fit as a problem of
+    ``contlearn.golem_fit_batch``, which fits those of a sample together."""
 
     fit: Callable[[Dataset, object, int], WeightedDag]
     thresholded: bool
     settings: Callable[..., object]
+    batch: Callable[[Dataset, object], tuple] | None = None
 
 
 def _no_settings() -> None:
@@ -96,6 +99,7 @@ def _golem(variant: str) -> Learner:
         lambda data, s, seed: contlearn.golem_fit(data, variant, s)[0],
         True,
         lambda **s: replace(contlearn.OptimizerSettings.penalized_defaults(variant), **s),
+        lambda data, s: (data, variant, s),
     )
 
 
@@ -350,6 +354,31 @@ def _score_estimate(
     return out
 
 
+def _fit_batched(cfg: ExperimentConfig, datasets: dict, learner_list) -> tuple[dict, float]:
+    """Fit every (learner, regime) of a sample whose learner has a batch form
+    in one ``contlearn.golem_fit_batch`` call. Returns the raw weights or the
+    exception of each fit, keyed by (position in ``learner_list``, regime),
+    and each fit's equal share of the call's time."""
+    keys, problems = [], []
+    for position, learner in enumerate(learner_list):
+        batch = LEARNERS[learner.name].batch
+        if batch is not None:
+            settings = _learner_settings(learner.name, learner.settings)
+            for regime in cfg.regimes:
+                keys.append((position, regime))
+                problems.append(batch(datasets[regime], settings))
+    if not problems:
+        return {}, 0.0
+    start = time.perf_counter()
+    outcomes = contlearn.golem_fit_batch(problems)
+    share = (time.perf_counter() - start) / len(problems)
+    fitted = {
+        key: outcome if isinstance(outcome, Exception) else outcome[0]
+        for key, outcome in zip(keys, outcomes)
+    }
+    return fitted, share
+
+
 def _evaluate_sample(
     cfg: ExperimentConfig, truth: Dag, sample: Dataset, learner_list, seed_path, est_key, identity
 ) -> tuple[list[RunRecord], dict]:
@@ -363,17 +392,23 @@ def _evaluate_sample(
     if "standardized" in cfg.regimes:
         datasets["standardized"] = standardize(sample)
     chash = cfg.config_hash()
+    batched, batch_share = _fit_batched(cfg, datasets, learner_list)
     records = []
     estimates = {}
     scored: dict = {}
-    for learner in learner_list:
+    for position, learner in enumerate(learner_list):
         learner_seed = spawn_seed(cfg.seed, *seed_path, learner.name)
         for regime in cfg.regimes:
             start = time.perf_counter()
             error = None
             metrics: dict = {}
             try:
-                west = run_learner(learner.name, datasets[regime], learner.settings, learner_seed)
+                if (position, regime) in batched:
+                    west = batched[(position, regime)]
+                    if isinstance(west, Exception):
+                        raise west
+                else:
+                    west = run_learner(learner.name, datasets[regime], learner.settings, learner_seed)
                 metrics = _score_estimate(cfg, truth, west, LEARNERS[learner.name].thresholded, scored)
                 estimates[(*est_key, learner.name, regime)] = west
             # A fit that fails on this sample becomes an error row; anything
@@ -388,7 +423,8 @@ def _evaluate_sample(
                     learner_seed=learner_seed,
                     metrics=metrics,
                     error=error,
-                    wall_seconds=time.perf_counter() - start,
+                    wall_seconds=time.perf_counter() - start
+                    + (batch_share if (position, regime) in batched else 0.0),
                     config_hash=chash,
                 )
             )
@@ -418,15 +454,15 @@ def _run_instance(cfg: ExperimentConfig, si: int, rep: int) -> tuple[list[RunRec
 def run_benchmark(cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:
     """Run the full matrix; optionally persist records and raw estimates.
 
-    Jobs are independent per (setting, repetition) and may run on a worker
-    pool (``VSB_THREADS``); records are gathered in deterministic
-    (setting, repetition, learner, regime) order regardless of completion
-    order.
+    Jobs are independent per (setting, repetition) and may run on a pool of
+    ``VSB_THREADS`` worker processes, at most one per job and per CPU;
+    records are gathered in deterministic (setting, repetition, learner,
+    regime) order regardless of completion order.
     """
     jobs = [(si, rep) for si in range(len(cfg.settings)) for rep in range(cfg.repetitions)]
-    workers = worker_count()
+    workers = min(worker_count(), len(jobs), os.cpu_count() or 1)
     results = {}
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for job, outcome in zip(jobs, pool.map(_run_instance_star, [(cfg, *j) for j in jobs])):
                 results[job] = outcome

@@ -18,7 +18,7 @@ from varsortbench.contlearn import (
     acyclicity_h,
     acyclicity_h_grad,
     enumerate_3node_dags,
-    golem_fit,
+    golem_fit_batch,
     golem_likelihood,
     golem_likelihood_grad,
     landscape_3node,
@@ -284,18 +284,27 @@ def gap_fits():
         for regime in ("raw", "standardized"):
             out["weights"][(name, regime)] = []
             out["sid"][(name, regime)] = []
+    samples = []
     for rep in range(10):
         g = sample_er_dag(spec, spawn_seed(MASTER, "c10", "g", rep))
         m = sample_linear_scm(g, DEFAULT_WEIGHT_LAW, noise, spawn_seed(MASTER, "c10", "m", rep))
-        data = simulate(m, 1000, spawn_seed(MASTER, "c10", "d", rep))
+        samples.append((g, simulate(m, 1000, spawn_seed(MASTER, "c10", "d", rep))))
+    # Both golem variants on every instance and regime, as one lockstep batch.
+    regimes = [(g, data, (("raw", data), ("standardized", standardize(data)))) for g, data in samples]
+    golem = iter(
+        golem_fit_batch(
+            [(dat, variant, None) for *_, pairs in regimes for _, dat in pairs for variant in ("ev", "nv")]
+        )
+    )
+    for rep, (g, data, pairs) in enumerate(regimes):
         out["graphs"].append(g)
-        for regime, dat in (("raw", data), ("standardized", standardize(data))):
+        for regime, dat in pairs:
             fits = {
                 "sortnregress": sortnregress(dat),
                 "randomregress": randomregress(dat, seed=spawn_seed(MASTER, "c10", "rr", rep)),
                 "notears": notears_fit(dat)[0],
-                "golem-ev": golem_fit(dat, "ev")[0],
-                "golem-nv": golem_fit(dat, "nv")[0],
+                "golem-ev": next(golem)[0],
+                "golem-nv": next(golem)[0],
             }
             for name, west in fits.items():
                 omega = 0.3 if name in ("notears", "golem-ev", "golem-nv") else 0.0

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -131,3 +134,13 @@ class TestRealdataCommand:
         assert info["records"] == 8  # (sortnregress + empty) x 2 regimes x 2 reps
         assert info["errors"] == 0
         assert (tmp_path / "real" / "records.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is slow to import and only notears needs it.
+    import varsortbench
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(varsortbench.__file__)))
+    code = "import sys, varsortbench.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

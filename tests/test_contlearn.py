@@ -12,7 +12,9 @@ from varsortbench.contlearn import (
     acyclicity_h_grad,
     enumerate_3node_dags,
     first_step_residual_variances,
+    _expm_nonneg,
     golem_fit,
+    golem_fit_batch,
     golem_likelihood,
     golem_likelihood_grad,
     golem_objective,
@@ -25,7 +27,7 @@ from varsortbench.contlearn import (
     notears_fit,
     threshold_and_break_cycles,
 )
-from varsortbench.errors import ConfigurationError
+from varsortbench.errors import ConfigurationError, SingularModelError
 from varsortbench.graphs import Dag, dag_from_edges, topological_order
 from varsortbench.rng import substream
 from varsortbench.scm import (
@@ -188,6 +190,44 @@ class TestAcyclicityFunction:
             assert acyclicity_h(w) == pytest.approx(expected, rel=1e-10, abs=1e-8)
 
 
+def expm_reference(a, tol=1e-10, max_terms=80):
+    """The one-matrix kernel: one series with a convergence check per term,
+    then the squarings."""
+    norm = float(np.linalg.norm(a, 1))
+    s = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
+    b = a / (2.0**s)
+    out = np.eye(a.shape[0])
+    term = np.eye(a.shape[0])
+    for k in range(1, max_terms):
+        term = term @ b / k
+        out += term
+        if float(np.abs(term).max()) < tol:
+            break
+    with np.errstate(over="ignore"):
+        for _ in range(s):
+            out = np.minimum(out @ out, 1e150)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=10),
+    st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=6, max_size=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_batched_expm_equals_one_matrix_kernel(batch, d, scales, seed):
+    # Scales from 0 (the empty graph) to far outside the feasible region,
+    # where the squarings clamp, so slices differ in series length and
+    # squaring count.
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((batch, d, d)) * np.array(scales[:batch])[:, None, None]
+    w *= rng.random((batch, d, d)) < 0.6
+    got = _expm_nonneg(w * w)
+    for k in range(batch):
+        assert np.array_equal(got[k], expm_reference(w[k] * w[k]))
+
+
 class TestNotears:
     def test_two_node_recovery(self):
         mat = np.zeros((2, 2))
@@ -279,6 +319,45 @@ class TestGolem:
         data, _ = random_case(3, 74)
         with pytest.raises(ConfigurationError):
             golem_fit(data, "xx")
+        with pytest.raises(ConfigurationError):
+            golem_fit_batch([(data, "ev", None), (data, "xx", None)])
+
+    def test_batch_equals_fits_one_by_one(self):
+        g = dag_from_edges(4, [(0, 1), (1, 2), (0, 3)])
+        m = sample_linear_scm(g, DEFAULT_WEIGHT_LAW, NoiseSpec("gaussian", None, DEFAULT_SIGMA_LAW), 75)
+        data = simulate(m, 300, 76)
+        short = OptimizerSettings(**{**OptimizerSettings.penalized_defaults("ev").__dict__, "iterations": 300})
+        fixed = OptimizerSettings(**{**short.__dict__, "fix_diagonal": True, "lambda1": 0.1})
+        problems = [
+            (dat, variant, settings)
+            for dat in (data, standardize(data))
+            for variant in ("ev", "nv")
+            for settings in (short, fixed, OptimizerSettings(**{**short.__dict__, "iterations": 250}))
+        ]
+        for (west, trace), problem in zip(golem_fit_batch(problems), problems):
+            alone_w, alone_trace = golem_fit(*problem)
+            assert np.array_equal(west.w, alone_w.w)
+            table, alone_table = (np.array([list(vars(r).values()) for r in t.rows]) for t in (trace, alone_trace))
+            assert np.array_equal(table, alone_table, equal_nan=True)  # rho and alpha are NaN
+            assert trace.rows[-1].outer_iter == problem[2].iterations
+
+    def test_failed_fit_leaves_the_batch(self):
+        # A constant column has zero residual variance at the empty graph,
+        # which the non-equal-variance likelihood cannot score.
+        rng = substream(77, "t")
+        x = rng.standard_normal((200, 3))
+        degenerate = Dataset(np.column_stack([x, np.full(200, 2.0)]), names(4))
+        fine = Dataset(rng.standard_normal((200, 4)), names(4))
+        settings = OptimizerSettings(**{**OptimizerSettings.penalized_defaults("nv").__dict__, "iterations": 200})
+        problems = [(fine, "ev", settings), (degenerate, "nv", settings), (fine, "nv", settings)]
+        outcomes = golem_fit_batch(problems)
+        assert isinstance(outcomes[1], SingularModelError)
+        assert "zero residual variance" in str(outcomes[1])
+        assert outcomes[1].trace is not None and outcomes[1].trace.rows == []
+        with pytest.raises(SingularModelError, match="zero residual variance"):
+            golem_fit(*problems[1])
+        for k in (0, 2):
+            assert np.array_equal(outcomes[k][0].w, golem_fit(*problems[k])[0].w)
 
     @pytest.mark.slow
     def test_ev_recovers_on_fully_sorted_raw_data(self):
@@ -289,9 +368,9 @@ class TestGolem:
 
         spec = GraphSpec("ER", 10, 2)
         noise = NoiseSpec("gaussian", None, SigmaLaw.fixed(1.0))
-        sids = []
+        instances = []
         seed = 0
-        while len(sids) < 10 and seed < 200:
+        while len(instances) < 10 and seed < 200:
             seed += 1
             g = sample_er_dag(spec, spawn_seed(91, "g", seed))
             if g.n_edges == 0:
@@ -300,9 +379,10 @@ class TestGolem:
             data = simulate(m, 1000, spawn_seed(91, "d", seed))
             if varsortability(g, empirical_variances(data)).v < 1.0:
                 continue
-            west, _ = golem_fit(data, "ev")
-            sids.append(sid(g, threshold_and_break_cycles(west, 0.3)))
-        assert len(sids) == 10
+            instances.append((g, data))
+        assert len(instances) == 10
+        fits = golem_fit_batch([(data, "ev", None) for _, data in instances])
+        sids = [sid(g, threshold_and_break_cycles(west, 0.3)) for (g, _), (west, _) in zip(instances, fits)]
         assert np.median(sids) <= 0.15 * 90
 
 

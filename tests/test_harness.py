@@ -203,6 +203,62 @@ class TestRunBenchmark:
         ).read_bytes()
 
 
+    def test_pool_never_exceeds_jobs_or_cpus(self, monkeypatch):
+        from varsortbench import harness
+
+        made = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, starts nothing."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("VSB_THREADS", "1000000")
+        cfg = small_config(repetitions=4, learners=(LearnerConfig("empty"),))
+        for cpus, expected in ((3, [3]), (8, [4]), (None, [])):
+            made.clear()
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            assert len(run_benchmark(cfg)) == 8
+            assert made == expected
+
+    def test_batched_fits_match_fits_one_by_one(self, tmp_path, monkeypatch):
+        from varsortbench import contlearn
+
+        cfg = small_config(
+            learners=(
+                LearnerConfig("golem-ev", {"iterations": 300}),
+                LearnerConfig("sortnregress"),
+                LearnerConfig("golem-nv", {"iterations": 200}),
+            ),
+            favorable=True,
+        )
+        monkeypatch.delenv("VSB_THREADS", raising=False)
+        run_benchmark(cfg, out_dir=tmp_path / "batched")
+        sizes = []
+        batch = contlearn.golem_fit_batch
+
+        def one_by_one(problems):
+            sizes.append(len(problems))
+            return [batch([problem])[0] for problem in problems]
+
+        monkeypatch.setattr(contlearn, "golem_fit_batch", one_by_one)
+        run_benchmark(cfg, out_dir=tmp_path / "single")
+        assert sizes == [4, 4]  # per sample: two golem learners on two regimes
+        for name in ["records.csv"] + [f"estimates/{p.name}" for p in (tmp_path / "single" / "estimates").iterdir()]:
+            assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
+
+
 class TestRunLearner:
     def test_every_registered_learner_runs(self):
         g = sample_er_dag(GraphSpec("ER", 4, 1), 1)

@@ -121,6 +121,52 @@ def sid_reference(g_true, g_est):
     return mistakes
 
 
+def shd_reference(g_true, g_est):
+    """Edit distance by a loop over unordered pairs."""
+    t, e = g_true.adj, g_est.adj
+    return sum(
+        (t[i, j], t[j, i]) != (e[i, j], e[j, i])
+        for i in range(g_true.d)
+        for j in range(i + 1, g_true.d)
+    )
+
+
+def sid_oracle_reference(g_true, g_est, trials=5, seed=0):
+    """The linear oracle with one solve per ordered pair (same draws)."""
+    d = g_true.d
+    rng = substream(seed, "metrics", "sid_oracle")
+    mistaken = np.zeros((d, d), dtype=bool)
+    completed = attempts = 0
+    while completed < trials:
+        attempts += 1
+        assert attempts <= 100 * trials
+        w = np.zeros((d, d))
+        for i, j in g_true.edges():
+            magnitude = rng.uniform(0.5, 2.0)
+            w[i, j] = magnitude * (1 if rng.random() < 0.5 else -1)
+        sigma = rng.uniform(0.5, 2.0, size=d)
+        minv = np.linalg.inv(np.eye(d) - w.T)
+        cov = minv @ np.diag(sigma**2) @ minv.T
+        effects = np.linalg.inv(np.eye(d) - w)
+        trial_mistakes = []
+        try:
+            for i in range(d):
+                regressors = [i] + [int(v) for v in g_est.parents(i)]
+                gram = cov[np.ix_(regressors, regressors)]
+                for j in range(d):
+                    if j == i or mistaken[i, j]:
+                        continue
+                    coef = np.linalg.solve(gram, cov[regressors, j])[0]
+                    if abs(coef - effects[i, j]) > 1e-8 * max(1.0, abs(effects[i, j])):
+                        trial_mistakes.append((i, j))
+        except np.linalg.LinAlgError:
+            continue
+        for i, j in trial_mistakes:
+            mistaken[i, j] = True
+        completed += 1
+    return int(mistaken.sum())
+
+
 def random_dag_adj(rng, d, p):
     """Edges between positions of a random order, each with probability p."""
     perm = rng.permutation(d)
@@ -175,6 +221,71 @@ def test_property_sid_matches_reference_thinned_complete_order(d, p, keep, seed)
 def test_property_sid_of_truth_is_zero(d, p, seed):
     g = Dag(random_dag_adj(np.random.default_rng(seed), d, p))
     assert sid(g, g) == 0
+
+
+def estimate_like(kind, rng, adj, q):
+    """An estimate of the truth ``adj``: drawn independently with edge
+    probability ``q``, the truth with 1-3 entries flipped (``None`` if that
+    closes a cycle), a complete order thinned to a share ``q``, or empty."""
+    d = adj.shape[0]
+    if kind == "independent":
+        return random_dag_adj(rng, d, q)
+    if kind == "flipped":
+        est = adj.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = rng.choice(d, size=2, replace=False)
+            est[a, b] = not est[a, b]
+        return None if (est @ reflexive_closure(est)).diagonal().any() else est
+    if kind == "thinned":
+        return random_dag_adj(rng, d, 1.0) & (rng.random((d, d)) < q)
+    return np.zeros((d, d), dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["independent", "flipped", "thinned", "empty"]),
+    d=st.integers(min_value=2, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    q=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_shd_matches_reference(kind, d, p, q, seed):
+    # "flipped" and "thinned" estimates reverse true edges.
+    rng = np.random.default_rng(seed)
+    adj = random_dag_adj(rng, d, p)
+    est = estimate_like(kind, rng, adj, q)
+    assume(est is not None)
+    g, h = Dag(adj), Dag(est)
+    assert shd(g, h) == shd_reference(g, h)
+    assert shd(h, g) == shd(g, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["independent", "flipped", "thinned", "empty"]),
+    d=st.integers(min_value=2, max_value=10),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    q=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_sid_oracle_matches_per_pair_reference(kind, d, p, q, seed):
+    rng = np.random.default_rng(seed)
+    adj = random_dag_adj(rng, d, p)
+    est = estimate_like(kind, rng, adj, q)
+    assume(est is not None)
+    g, h = Dag(adj), Dag(est)
+    oracle_seed = int(rng.integers(2**62))
+    assert sid_oracle_linear(g, h, seed=oracle_seed) == sid_oracle_reference(g, h, seed=oracle_seed)
+
+
+def test_sid_oracle_matches_per_pair_reference_at_d40():
+    rng = np.random.default_rng(40)
+    for kind in ("thinned", "thinned", "empty", "empty"):
+        adj = random_dag_adj(rng, 40, 0.1)
+        g, h = Dag(adj), Dag(estimate_like(kind, rng, adj, 0.8))
+        oracle_seed = int(rng.integers(2**62))
+        expected = sid_oracle_reference(g, h, seed=oracle_seed)
+        assert sid_oracle_linear(g, h, seed=oracle_seed) == expected == sid(g, h)
 
 
 class TestSid:
