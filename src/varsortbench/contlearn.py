@@ -246,12 +246,9 @@ def _expm_nonneg(a: np.ndarray, tol: float = 1e-10, max_terms: int = 80) -> np.n
     """
     batch, d = a.shape[0], a.shape[-1]
     norm = a.sum(axis=-2).max(axis=-1)  # the 1-norm, as the entries are nonnegative
-    if norm.max() <= 0.5:  # no slice is scaled: the common case, kept cheap
-        b, squarings = a, 0
-    else:
-        exponent = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5))
-        squarings = int(exponent.max())  # a NaN norm fails here
-        b = a / np.ldexp(1.0, exponent.astype(int))[:, None, None]
+    exponent = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5))  # 0 where the norm is at most 0.5
+    squarings = int(exponent.max())  # a NaN norm fails here
+    b = a / np.ldexp(1.0, exponent.astype(int))[:, None, None]
     term = b  # the first term, I @ b / 1, is b exactly: b is finite and nonnegative
     out = np.eye(d) + b
     terms, partial_sums = [term], [out]
@@ -336,7 +333,9 @@ def _objective_of_one(w, data: Dataset, variant: str, lambda1: float, lambda2: f
         np.array([lambda1]), np.array([lambda2]), value,
     )
     if failed:
-        raise SingularModelError(failed[0])
+        # The likelihood's reason comes first, as its term comes first in the sum.
+        _likelihood_of_one(w, data, variant, grad=False)
+        raise SingularModelError("det(I - W) vanished")
     return out
 
 

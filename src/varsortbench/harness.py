@@ -75,13 +75,14 @@ class Learner(NamedTuple):
     """``settings(**keys)`` builds what ``fit(data, settings, seed)`` takes
     from a config's settings keys, raising ``TypeError`` on an unknown key.
     ``fit`` returns raw weights, to be thresholded if ``thresholded``.
-    Where set, ``batch(data, settings)`` is the same fit as a problem of
-    ``contlearn.golem_fit_batch``, which fits those of a sample together."""
+    Where ``golem_variant`` is set, ``fit`` is ``contlearn.golem_fit`` of that
+    variant, and the harness fits those of a sample together through
+    ``contlearn.golem_fit_batch``."""
 
     fit: Callable[[Dataset, object, int], WeightedDag]
     thresholded: bool
     settings: Callable[..., object]
-    batch: Callable[[Dataset, object], tuple] | None = None
+    golem_variant: str | None = None
 
 
 def _no_settings() -> None:
@@ -99,7 +100,7 @@ def _golem(variant: str) -> Learner:
         lambda data, s, seed: contlearn.golem_fit(data, variant, s)[0],
         True,
         lambda **s: replace(contlearn.OptimizerSettings.penalized_defaults(variant), **s),
-        lambda data, s: (data, variant, s),
+        variant,
     )
 
 
@@ -355,18 +356,18 @@ def _score_estimate(
 
 
 def _fit_batched(cfg: ExperimentConfig, datasets: dict, learner_list) -> tuple[dict, float]:
-    """Fit every (learner, regime) of a sample whose learner has a batch form
-    in one ``contlearn.golem_fit_batch`` call. Returns the raw weights or the
-    exception of each fit, keyed by (position in ``learner_list``, regime),
-    and each fit's equal share of the call's time."""
+    """Fit every (learner, regime) of a sample whose learner is a golem
+    variant in one ``contlearn.golem_fit_batch`` call. Returns the raw
+    weights or the exception of each fit, keyed by (position in
+    ``learner_list``, regime), and each fit's equal share of the call's time."""
     keys, problems = [], []
     for position, learner in enumerate(learner_list):
-        batch = LEARNERS[learner.name].batch
-        if batch is not None:
+        variant = LEARNERS[learner.name].golem_variant
+        if variant is not None:
             settings = _learner_settings(learner.name, learner.settings)
             for regime in cfg.regimes:
                 keys.append((position, regime))
-                problems.append(batch(datasets[regime], settings))
+                problems.append((datasets[regime], variant, settings))
     if not problems:
         return {}, 0.0
     start = time.perf_counter()

@@ -360,6 +360,18 @@ class TestGolem:
             assert np.array_equal(outcomes[k][0].w, golem_fit(*problems[k])[0].w)
 
     @pytest.mark.slow
+    @pytest.mark.parametrize("view", [golem_objective, golem_objective_grad])
+    def test_objective_views_report_the_likelihood_before_the_determinant(self, view):
+        data, _ = random_case(2, 46)
+        # I - W singular with positive residual variances: only the determinant fails.
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(SingularModelError, match=r"^det\(I - W\) vanished$"):
+            view(swap, data, "nv", 0.1, 1.0)
+        # W = I zeroes the residuals too, and the likelihood's reason comes first.
+        for variant, reason in (("ev", "zero total residual variance"), ("nv", "zero residual variance in some component")):
+            with pytest.raises(SingularModelError, match=f"^{reason}$"):
+                view(np.eye(2), data, variant, 0.1, 1.0)
+
     def test_ev_recovers_on_fully_sorted_raw_data(self):
         from varsortbench.graphs import GraphSpec, sample_er_dag
         from varsortbench.metrics import sid
