@@ -213,10 +213,7 @@ def orient_by_variance(inst: ChainInstance, seed: int = 0) -> OrientationDecisio
 
 def _adjacent(inst: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
     """Presented variances and adjacent covariances as a batch of one."""
-    cov = inst.cov
-    if cov is None:
-        x = inst.data.x - inst.data.x.mean(axis=0)
-        cov = x.T @ x / inst.data.n
+    cov = inst.data.covariance if inst.cov is None else inst.cov
     return np.diag(cov)[None, :], np.diagonal(cov, 1)[None, :]
 
 

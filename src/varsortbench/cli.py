@@ -112,12 +112,13 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    truth = read_edge_list(args.truth)
     if args.estimate.endswith(".json"):
         with open(args.estimate, "r", encoding="utf-8") as fh:
             west = harness.weighted_from_json(json.load(fh))
+        truth = read_edge_list(args.truth, d=west.d)
         est = contlearn.threshold_and_break_cycles(west, args.omega)
     else:
+        truth = read_edge_list(args.truth)
         est = read_edge_list(args.estimate, d=truth.d)
     out = {**dag_scores(truth, est), "sid_mec_lower": None, "sid_mec_upper": None, "shd_cpdag": None}
     if args.mec:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "sample_sf_dag",
     "sample_dag",
     "topological_order",
-    "descendant_matrix",
     "dag_to_cpdag",
     "enumerate_mec",
     "d_separated",
@@ -263,11 +263,6 @@ def topological_order(g: Dag) -> tuple[int, ...]:
     if len(out) != d:
         raise IntegrityError("cycle detected during topological sort")
     return tuple(out)
-
-
-def descendant_matrix(g: Dag) -> np.ndarray:
-    """Entry (i, j) is True iff a directed path i -> ... -> j of length >= 1 exists."""
-    return reachability_adj(g.adj)
 
 
 def reachability_adj(adj: np.ndarray, reflexive: bool = False) -> np.ndarray:
@@ -510,10 +505,16 @@ def enumerate_mec(c: Cpdag, cap: int = 10_000) -> list[Dag]:
 
 
 def read_edge_list(path, d: int | None = None) -> Dag:
+    """Read an edge list on ``d`` nodes, by default the count in the ``# N
+    nodes`` header that ``write_edge_list`` writes, else one more than the
+    largest node id. A ``d`` that disagrees with the header is an error."""
     edges = []
     max_node = -1
+    header_d = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if lineno == 1 and (header := re.match(r"\s*#\s*(\d+)\s+nodes\b", raw)):
+                header_d = int(header.group(1))
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -528,8 +529,10 @@ def read_edge_list(path, d: int | None = None) -> Dag:
                 raise ParseError("node ids must be non-negative", line=lineno)
             edges.append((i, j))
             max_node = max(max_node, i, j)
+    if header_d is not None and d is not None and d != header_d:
+        raise ParseError(f"edge list header gives {header_d} nodes but d={d}", line=1)
     if d is None:
-        d = max_node + 1
+        d = max_node + 1 if header_d is None else header_d
     if d < max_node + 1:
         raise ParseError(f"edge list references node {max_node} but d={d}")
     if d < 1:

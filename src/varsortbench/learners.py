@@ -4,7 +4,9 @@
 each node on its predecessors; ``randomregress`` is the same with a random
 order and marks the performance attainable without scale information.
 Parent selection follows the exact lasso path, computed by LARS on the Gram
-matrix, and picks the support on it that minimizes BIC.
+matrix, and picks the support on it that minimizes BIC. Every fit here reads
+the dataset's one covariance, ``Dataset.covariance``, so none costs anything
+that grows with n; only the variance order reads the observations.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError
 from .graphs import Dag
 from .rng import substream
 from .scm import Dataset, WeightedDag
@@ -34,19 +36,16 @@ __all__ = [
 @dataclass(frozen=True)
 class ParentSearchConfig:
     """Parent selection: the lasso path ends at ``lambda_min_ratio`` times
-    its largest penalty, ``criterion`` scores the supports on it, and
-    ``adaptive`` reweights columns by their joint least-squares coefficients.
+    its largest penalty, BIC scores the supports on it, and ``adaptive``
+    reweights columns by their joint least-squares coefficients.
     """
 
     lambda_min_ratio: float = 1e-4
-    criterion: str = "bic"
     adaptive: bool = True
 
     def __post_init__(self):
         if not 0 < self.lambda_min_ratio < 1:
             raise ConfigurationError("lambda_min_ratio must lie in (0, 1)")
-        if self.criterion != "bic":
-            raise ConfigurationError(f"unsupported criterion {self.criterion!r}")
 
 
 DEFAULT_PARENT_SEARCH = ParentSearchConfig()
@@ -121,57 +120,51 @@ def lasso_bic_parents(
 ) -> np.ndarray:
     """L1 regression path of ``target`` on ``candidates``, BIC-selected.
 
-    Returns one coefficient per candidate; zeros mark non-parents. Columns
-    are centered, scaled to unit variance, and (by default) further scaled
-    by the magnitude of their joint least-squares coefficients, so strong
-    signals enter the path before noise-level ones. Each distinct support
-    along the path is scored by ``n log(RSS/n) + log(n) * nnz`` with RSS
-    from a least-squares refit of that support, and the winning support's
-    refit coefficients are returned on the original scale. Ties go to the
-    sparser (larger penalty) point. The reweighting and the refit keep
-    penalty shrinkage out of the selection, which would otherwise let
-    compensating near-zero parents ride along past the BIC.
+    Returns one coefficient per candidate; zeros mark non-parents. Works on
+    slices of ``data.covariance``: columns are scaled to unit variance and
+    (by default) further scaled by the magnitude of their joint least-squares
+    coefficients, so strong signals enter the path before noise-level ones.
+    Each distinct support along the path is scored by ``n log(RSS/n) +
+    log(n) * nnz`` with RSS from a least-squares refit of that support, and
+    the winning support's refit coefficients are returned on the original
+    scale. Ties go to the sparser (larger penalty) point. The reweighting
+    and the refit keep penalty shrinkage out of the selection, which would
+    otherwise let compensating near-zero parents ride along past the BIC.
     """
     candidates = [int(c) for c in candidates]
     if int(target) in candidates:
         raise ConfigurationError("target cannot be its own candidate parent")
     if not candidates:
         return np.zeros(0)
-    if not np.all(np.isfinite(data.x)):
-        raise DataError("non-finite observations")
     n = data.n
-    x = data.x[:, candidates]
-    x = x - x.mean(axis=0)
-    scale = x.std(axis=0)
+    cov = data.covariance
+    scale = np.sqrt(np.diag(cov)[candidates])
     usable = scale > 0
-    x = np.where(usable[None, :], x / np.where(usable, scale, 1.0)[None, :], 0.0)
-    y = data.x[:, int(target)]
-    y = y - y.mean()
+    inv = np.where(usable, 1.0 / np.where(usable, scale, 1.0), 0.0)
+    gram = cov[np.ix_(candidates, candidates)] * np.outer(inv, inv)
+    corr = cov[candidates, int(target)] * inv
     if cfg.adaptive:
-        ols, *_ = np.linalg.lstsq(x, y, rcond=None)
-        scale = scale / np.where(np.abs(ols) > 0, np.abs(ols), 1.0)
-        x = x * np.abs(ols)[None, :]
-        usable = usable & (np.abs(ols) > 0)
+        # The normal equations of the n x p least squares: rcond now cuts
+        # squared singular values, so near-collinear columns can differ.
+        ols, *_ = np.linalg.lstsq(gram, corr, rcond=None)
+        weight = np.abs(ols)
+        scale = scale / np.where(weight > 0, weight, 1.0)
+        gram = gram * np.outer(weight, weight)
+        corr = corr * weight
+        usable = usable & (weight > 0)
 
-    gram = x.T @ x / n
-    corr = x.T @ y / n
     lam_max = float(np.max(np.abs(corr)))
     if lam_max == 0.0:
         return np.zeros(len(candidates))
     _, _, supports = _lasso_path(gram, corr, lam_max * cfg.lambda_min_ratio)
 
     tiny = np.finfo(float).tiny
-    y_sq = float(y @ y)
+    y_sq = n * float(cov[int(target), int(target)])
     best_bic = np.inf
     best = np.zeros(len(candidates))
-    seen: set[tuple[int, ...]] = set()
-    for support in [(), *supports]:
-        if support in seen:
-            continue
-        seen.add(support)
+    for support in dict.fromkeys([(), *supports]):
         if support:
-            sub = gram[np.ix_(support, support)]
-            coef, *_ = np.linalg.lstsq(sub, corr[list(support)], rcond=None)
+            coef, *_ = np.linalg.lstsq(gram[np.ix_(support, support)], corr[list(support)], rcond=None)
             rss = n * max(y_sq / n - corr[list(support)] @ coef, 0.0)
         else:
             coef = np.zeros(0)
@@ -296,5 +289,5 @@ def mse_gds_from_cov(
 
 
 def mse_gds(data: Dataset, max_edges: int | None = None, tol_rel: float = 1e-3) -> WeightedDag:
-    gram = data.x.T @ data.x / data.n
-    return mse_gds_from_cov(gram, max_edges=max_edges, tol_rel=tol_rel)
+    """``mse_gds_from_cov`` on the centered sample covariance."""
+    return mse_gds_from_cov(data.covariance, max_edges=max_edges, tol_rel=tol_rel)

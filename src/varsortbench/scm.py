@@ -4,12 +4,15 @@ Model convention: ``x = W^T x + noise`` with ``W[k, j]`` the effect of node
 ``k`` on node ``j`` (column ``j`` holds the incoming weights of ``j``).
 Sample variances use denominator ``n`` (population convention) throughout
 the package so standardization and the variance diagnostics agree bitwise.
+Each ``Dataset`` holds one centered sample covariance, ``Dataset.covariance``,
+which every fit reads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -247,6 +250,14 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Read-only centered sample covariance ``xc^T xc / n``, computed once."""
+        xc = self.x - self.x.mean(axis=0)
+        cov = xc.T @ xc / self.n
+        cov.setflags(write=False)
+        return cov
 
 
 def default_names(d: int) -> tuple[str, ...]:

@@ -95,6 +95,8 @@ def empirical_variances(data: Dataset) -> np.ndarray:
     """Per-column sample variance with denominator n."""
     if data.n < 2:
         raise ConfigurationError("need at least two observations")
+    # Not ``diag(data.covariance)``: on standardized data every variance is
+    # 1 up to rounding, so the two orders differ and so would the records.
     return data.x.var(axis=0)
 
 

@@ -54,6 +54,24 @@ class TestPipeline:
         assert record["shd"] >= 0
         assert "shd_cpdag" in record
 
+    def test_evaluate_keeps_isolated_trailing_nodes(self, tmp_path, capsys):
+        data, truth, estimate = tmp_path / "d.csv", tmp_path / "t.txt", tmp_path / "e.json"
+        code, _ = run_cli(
+            capsys,
+            "simulate", "--model", "ER", "--d", "6", "--k", "1", "--seed", "7", "--n", "200",
+            "--out-data", str(data), "--out-truth", str(truth),
+        )
+        assert code == 0
+        edges = [line.split() for line in truth.read_text().splitlines() if not line.startswith("#")]
+        assert "5" not in {node for edge in edges for node in edge}  # node 5 is isolated
+        code, _ = run_cli(capsys, "learn", "--algo", "sortnregress", "--data", str(data), "--out", str(estimate))
+        assert code == 0
+        for est in (estimate, truth):
+            code, out = run_cli(capsys, "evaluate", "--truth", str(truth), "--estimate", str(est))
+            assert code == 0
+            assert json.loads(out)["sid_normalizer"] == 30
+        assert json.loads(out)["shd"] == 0
+
     def test_evaluate_edge_list_estimate(self, tmp_path, capsys):
         truth = tmp_path / "truth.txt"
         truth.write_text("0 1\n1 2\n")

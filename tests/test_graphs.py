@@ -14,7 +14,6 @@ from varsortbench.graphs import (
     d_separated,
     dag_from_edges,
     dag_to_cpdag,
-    descendant_matrix,
     enumerate_mec,
     reachability_adj,
     read_edge_list,
@@ -196,24 +195,26 @@ class TestTopologicalOrder:
 
 
 class TestDescendantMatrix:
+    """A DAG's descendants are the closure of its adjacency."""
+
     def test_chain(self):
-        reach = descendant_matrix(dag_from_edges(3, [(0, 1), (1, 2)]))
+        reach = reachability_adj(dag_from_edges(3, [(0, 1), (1, 2)]).adj)
         expected = np.zeros((3, 3), dtype=bool)
         expected[0, 1] = expected[1, 2] = expected[0, 2] = True
         assert np.array_equal(reach, expected)
 
     def test_empty(self):
-        assert not descendant_matrix(dag_from_edges(3, [])).any()
+        assert not reachability_adj(dag_from_edges(3, []).adj).any()
 
     def test_triangle(self):
-        reach = descendant_matrix(dag_from_edges(3, [(0, 1), (0, 2), (1, 2)]))
+        reach = reachability_adj(dag_from_edges(3, [(0, 1), (0, 2), (1, 2)]).adj)
         assert reach[0, 1] and reach[0, 2] and reach[1, 2]
         assert reach.sum() == 3
 
     def test_matches_dfs_closure(self):
         for seed in range(20):
             g = random_dag(7, 0.4, seed)
-            reach = descendant_matrix(g)
+            reach = reachability_adj(g.adj)
             for start in range(7):
                 seen = set()
                 stack = [start]
@@ -328,7 +329,7 @@ class TestEnumerateMec:
 def path_blocking_oracle(g: Dag, i, j, zset):
     """d-separation by exhaustive enumeration of undirected paths."""
     zset = set(zset)
-    reach = descendant_matrix(g)
+    reach = reachability_adj(g.adj)
 
     def blocked(path):
         for idx in range(1, len(path) - 1):
@@ -439,6 +440,16 @@ class TestEdgeListIo:
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
         assert read_edge_list(path, d=6) == g
+
+    def test_roundtrip_keeps_isolated_trailing_nodes(self, tmp_path):
+        g = dag_from_edges(6, [(0, 1), (1, 2)])
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        assert read_edge_list(path) == g
+        assert read_edge_list(path, d=6) == g
+        for d in (5, 7):
+            with pytest.raises(ParseError):
+                read_edge_list(path, d=d)
 
     def test_comments_and_errors(self, tmp_path):
         path = tmp_path / "edges.txt"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from varsortbench.errors import ConfigurationError
@@ -15,6 +16,7 @@ from varsortbench.learners import (
     variance_sort_full,
 )
 from varsortbench.contlearn import threshold_and_break_cycles
+from varsortbench.harness import run_learner
 from varsortbench.metrics import shd, sid
 from varsortbench.rng import spawn_seed, substream
 from varsortbench.scm import (
@@ -41,6 +43,46 @@ def centered_gram(x, y):
     xc = x - x.mean(axis=0)
     yc = y - y.mean()
     return xc.T @ xc / len(y), xc.T @ yc / len(y)
+
+
+def lasso_bic_parents_reference(data, target, candidates, cfg=ParentSearchConfig()):
+    """``lasso_bic_parents`` on the n x p observations: center, scale and
+    solve the adaptive least squares on the data of each target."""
+    candidates = [int(c) for c in candidates]
+    if not candidates:
+        return np.zeros(0)
+    n = data.n
+    x = data.x[:, candidates]
+    x = x - x.mean(axis=0)
+    scale = x.std(axis=0)
+    usable = scale > 0
+    x = np.where(usable[None, :], x / np.where(usable, scale, 1.0)[None, :], 0.0)
+    y = data.x[:, int(target)]
+    y = y - y.mean()
+    if cfg.adaptive:
+        ols, *_ = np.linalg.lstsq(x, y, rcond=None)
+        scale = scale / np.where(np.abs(ols) > 0, np.abs(ols), 1.0)
+        x = x * np.abs(ols)[None, :]
+        usable = usable & (np.abs(ols) > 0)
+    gram = x.T @ x / n
+    corr = x.T @ y / n
+    lam_max = float(np.max(np.abs(corr)))
+    if lam_max == 0.0:
+        return np.zeros(len(candidates))
+    _, _, supports = _lasso_path(gram, corr, lam_max * cfg.lambda_min_ratio)
+    y_sq = float(y @ y)
+    best_bic, best = np.inf, np.zeros(len(candidates))
+    for support in dict.fromkeys([(), *supports]):
+        if support:
+            coef, *_ = np.linalg.lstsq(gram[np.ix_(support, support)], corr[list(support)], rcond=None)
+            rss = n * max(y_sq / n - corr[list(support)] @ coef, 0.0)
+        else:
+            coef, rss = np.zeros(0), y_sq
+        bic = n * np.log(max(rss, np.finfo(float).tiny) / n) + np.log(n) * len(support)
+        if bic < best_bic:
+            best_bic, best = bic, np.zeros(len(candidates))
+            best[list(support)] = coef
+    return np.where(usable, best / np.where(usable, scale, 1.0), 0.0)
 
 
 def assert_path_kkt(gram, corr, lambdas, betas, supports, tol=1e-7):
@@ -152,10 +194,54 @@ class TestLassoBicParents:
                 assert coef[0] == 0.0 or coef[1] == 0.0
                 assert not np.all(coef[[0, 2, 4]] != 0.0)
 
+    def test_criterion_key_is_unknown(self):
+        data = Dataset(np.random.default_rng(3).normal(size=(50, 3)), names(3))
+        with pytest.raises(ConfigurationError, match="bad settings"):
+            run_learner("sortnregress", data, {"criterion": "bic"}, 0)
+
     def test_target_not_candidate(self):
         data = Dataset(np.random.default_rng(3).normal(size=(50, 3)), names(3))
         with pytest.raises(ConfigurationError):
             lasso_bic_parents(data, 1, [0, 1])
+
+
+# The covariance and the n x p data agree up to rounding, except where the
+# adaptive least squares is near-singular: lstsq's rcond now acts on squared
+# singular values. Exactly duplicated columns stay safe, since both cut the
+# zero singular value; which copy carries the weight is a rounding-level tie.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    d=st.integers(min_value=2, max_value=10),
+    standardized=st.booleans(),
+    adaptive=st.booleans(),
+    degenerate=st.sampled_from(["none", "constant", "duplicate"]),
+)
+def test_parent_search_on_covariance_matches_data_reference(seed, d, standardized, adaptive, degenerate):
+    g = sample_er_dag(GraphSpec("ER", d, min(2, d - 1)), spawn_seed(seed, "g"))
+    m = sample_linear_scm(g, DEFAULT_WEIGHT_LAW, NoiseSpec("gaussian", None, DEFAULT_SIGMA_LAW), spawn_seed(seed, "m"))
+    data = simulate(m, 200, spawn_seed(seed, "d"))
+    if standardized:
+        data = standardize(data)
+    rng = substream(seed, "t")
+    x = data.x.copy()
+    order = [int(c) for c in rng.permutation(d)]
+    target, candidates = order[0], order[1:]
+    copy_of = None
+    if degenerate == "constant" and candidates:
+        x[:, candidates[0]] = float(rng.integers(-3, 4))
+    elif degenerate == "duplicate" and len(candidates) >= 2:
+        copy_of = (candidates[0], candidates[1])
+        x[:, copy_of[1]] = x[:, copy_of[0]]
+    data = Dataset(x, names(d))
+    cfg = ParentSearchConfig(adaptive=adaptive)
+    got = lasso_bic_parents(data, target, candidates, cfg)
+    want = lasso_bic_parents_reference(data, target, candidates, cfg)
+    if copy_of is not None:
+        for coef in (got, want):
+            coef[0], coef[1] = coef[0] + coef[1], 0.0
+    assert np.array_equal(got != 0, want != 0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 class TestSortnregress:

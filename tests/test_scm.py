@@ -78,6 +78,17 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             Dataset(np.ones((3, 2)), ("a",))
 
+    def test_dataset_covariance_is_cached_read_only_and_exact(self):
+        x = substream(15, "t").normal(size=(300, 4)) * np.array([1.0, 2.0, 0.5, 3.0]) + 7.0
+        data = Dataset(x, ("a", "b", "c", "d"))
+        cov = data.covariance
+        assert data.covariance is cov
+        assert not cov.flags.writeable
+        with pytest.raises(ValueError):
+            cov[0, 0] = 0.0
+        xc = data.x - data.x.mean(axis=0)
+        assert np.array_equal(cov, xc.T @ xc / data.n)
+
 
 class TestSampleLinearScm:
     def test_empty_graph_zero_weights(self):
