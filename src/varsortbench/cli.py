@@ -104,9 +104,7 @@ def _cmd_learn(args) -> int:
     data = harness.load_dataset_csv(args.data)
     settings = json.loads(args.settings) if args.settings else {}
     west = harness.run_learner(args.algo, data, settings, args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(harness.weighted_to_json(west), fh)
-        fh.write("\n")
+    harness.write_json(args.out, harness.weighted_to_json(west))
     print(json.dumps({"algo": args.algo, "out": args.out, "nonzero": int((west.w != 0).sum())}))
     return 0
 

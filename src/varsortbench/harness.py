@@ -4,14 +4,17 @@ A benchmark run crosses graph settings, noise settings, and repetitions;
 each instance is simulated once and every learner sees the same sample in
 both scale regimes. All per-instance seeds derive from
 (master seed, setting index, repetition) only, so adding a learner never
-changes the generated data. Reruns with the same config and master seed
-produce byte-identical ``records.csv``; wall-clock timings therefore live
-only in ``records.json``.
+changes the generated data. Each worker takes an interleaved chunk of the
+(setting, repetition) jobs and fits the golem problems of all of them in
+one lockstep batch, whose fits do not depend on each other. Reruns with the
+same config and master seed produce byte-identical ``records.csv`` at any
+worker count; wall-clock timings therefore live only in ``records.json``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import inspect
 import json
@@ -76,7 +79,7 @@ class Learner(NamedTuple):
     from a config's settings keys, raising ``TypeError`` on an unknown key.
     ``fit`` returns raw weights, to be thresholded if ``thresholded``.
     Where ``golem_variant`` is set, ``fit`` is ``contlearn.golem_fit`` of that
-    variant, and the harness fits those of a sample together through
+    variant, and the harness fits those of a worker's jobs together through
     ``contlearn.golem_fit_batch``."""
 
     fit: Callable[[Dataset, object, int], WeightedDag]
@@ -355,84 +358,81 @@ def _score_estimate(
     return out
 
 
-def _fit_batched(cfg: ExperimentConfig, datasets: dict, learner_list) -> tuple[dict, float]:
-    """Fit every (learner, regime) of a sample whose learner is a golem
-    variant in one ``contlearn.golem_fit_batch`` call. Returns the raw
-    weights or the exception of each fit, keyed by (position in
-    ``learner_list``, regime), and each fit's equal share of the call's time."""
-    keys, problems = [], []
-    for position, learner in enumerate(learner_list):
-        variant = LEARNERS[learner.name].golem_variant
-        if variant is not None:
-            settings = _learner_settings(learner.name, learner.settings)
-            for regime in cfg.regimes:
-                keys.append((position, regime))
-                problems.append((datasets[regime], variant, settings))
-    if not problems:
-        return {}, 0.0
+def _fill_record(
+    cfg: ExperimentConfig, record: RunRecord, truth: Dag, scored: dict, estimates: dict, key, fit, *args
+) -> None:
+    """Fit by ``fit(*args)``, score and time one record in place, keeping its
+    estimate under ``key``."""
     start = time.perf_counter()
-    outcomes = contlearn.golem_fit_batch(problems)
-    share = (time.perf_counter() - start) / len(problems)
-    fitted = {
-        key: outcome if isinstance(outcome, Exception) else outcome[0]
-        for key, outcome in zip(keys, outcomes)
-    }
-    return fitted, share
+    try:
+        west = fit(*args)
+        record.metrics = _score_estimate(cfg, truth, west, LEARNERS[record.learner].thresholded, scored)
+        estimates[key] = west
+    # A fit that fails on this sample becomes an error row; anything else is
+    # a bug or a bad config and stops the run.
+    except (SingularModelError, DataError, np.linalg.LinAlgError) as err:
+        record.error = f"{type(err).__name__}: {err}"
+    record.wall_seconds += time.perf_counter() - start
 
 
-def _evaluate_sample(
-    cfg: ExperimentConfig, truth: Dag, sample: Dataset, learner_list, seed_path, est_key, identity
-) -> tuple[list[RunRecord], dict]:
-    """Run every learner on every regime of one sample and score each estimate.
+def _golem_weights(outcome) -> WeightedDag:
+    """The weights of one ``golem_fit_batch`` outcome, or its exception raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[0]
 
-    A learner's seed is ``spawn_seed(cfg.seed, *seed_path, name)``; its
-    estimates are keyed ``(*est_key, name, regime)``; ``identity`` holds the
-    record fields that describe the sample.
+
+def _evaluate_samples(
+    cfg: ExperimentConfig, samples, learner_list
+) -> tuple[list[list[RunRecord]], dict]:
+    """Run every learner on every regime of each sample and score each estimate.
+
+    ``samples`` yields one ``(truth, data, seed_path, est_key, identity)`` at
+    a time: a learner's seed is ``spawn_seed(cfg.seed, *seed_path, name)``,
+    its estimates are keyed ``(*est_key, name, regime)`` and ``identity``
+    holds the record fields that describe the sample. A learner without a
+    golem variant is fitted and scored while its sample is live. The golem
+    problems of all samples are queued and, after the last sample, fitted in
+    one ``contlearn.golem_fit_batch`` call; such a record's ``wall_seconds``
+    is an equal share of that call plus its own scoring time. Returns each
+    sample's records in (learner, regime) order, and the estimates.
     """
-    datasets = {"raw": sample}
-    if "standardized" in cfg.regimes:
-        datasets["standardized"] = standardize(sample)
     chash = cfg.config_hash()
-    batched, batch_share = _fit_batched(cfg, datasets, learner_list)
-    records = []
-    estimates = {}
-    scored: dict = {}
-    for position, learner in enumerate(learner_list):
-        learner_seed = spawn_seed(cfg.seed, *seed_path, learner.name)
-        for regime in cfg.regimes:
-            start = time.perf_counter()
-            error = None
-            metrics: dict = {}
-            try:
-                if (position, regime) in batched:
-                    west = batched[(position, regime)]
-                    if isinstance(west, Exception):
-                        raise west
-                else:
-                    west = run_learner(learner.name, datasets[regime], learner.settings, learner_seed)
-                metrics = _score_estimate(cfg, truth, west, LEARNERS[learner.name].thresholded, scored)
-                estimates[(*est_key, learner.name, regime)] = west
-            # A fit that fails on this sample becomes an error row; anything
-            # else is a bug or a bad config and stops the run.
-            except (SingularModelError, DataError, np.linalg.LinAlgError) as err:
-                error = f"{type(err).__name__}: {err}"
-            records.append(
-                RunRecord(
-                    **identity,
-                    learner=learner.name,
-                    regime=regime,
-                    learner_seed=learner_seed,
-                    metrics=metrics,
-                    error=error,
-                    wall_seconds=time.perf_counter() - start
-                    + (batch_share if (position, regime) in batched else 0.0),
-                    config_hash=chash,
+    entries = [(l, LEARNERS[l.name], _learner_settings(l.name, l.settings)) for l in learner_list]
+    per_sample, estimates, queued = [], {}, []
+    for truth, data, seed_path, est_key, identity in samples:
+        datasets = {"raw": data}
+        if "standardized" in cfg.regimes:
+            datasets["standardized"] = standardize(data)
+        scored: dict = {}
+        per_sample.append([])
+        for learner, entry, settings in entries:
+            learner_seed = spawn_seed(cfg.seed, *seed_path, learner.name)
+            for regime in cfg.regimes:
+                record = RunRecord(
+                    **identity, learner=learner.name, regime=regime, learner_seed=learner_seed,
+                    metrics={}, error=None, wall_seconds=0.0, config_hash=chash,
                 )
-            )
-    return records, estimates
+                per_sample[-1].append(record)
+                task = (record, truth, scored, estimates, (*est_key, learner.name, regime))
+                if entry.golem_variant is None:
+                    _fill_record(cfg, *task, entry.fit, datasets[regime], settings, learner_seed)
+                else:
+                    queued.append((task, (datasets[regime], entry.golem_variant, settings)))
+        # Free this sample while the next one is made; queued problems keep their own data.
+        del data, datasets
+    if queued:
+        start = time.perf_counter()
+        outcomes = contlearn.golem_fit_batch([problem for _, problem in queued])
+        share = (time.perf_counter() - start) / len(queued)
+        for ((record, *rest), _), outcome in zip(queued, outcomes):
+            record.wall_seconds = share
+            _fill_record(cfg, record, *rest, _golem_weights, outcome)
+    return per_sample, estimates
 
 
-def _run_instance(cfg: ExperimentConfig, si: int, rep: int) -> tuple[list[RunRecord], dict]:
+def _simulate_job(cfg: ExperimentConfig, si: int, rep: int) -> tuple:
+    """The sample of one (setting, repetition) job, as ``_evaluate_samples`` takes it."""
     spec, token = cfg.settings[si]
     g = sample_dag(spec, spawn_seed(cfg.seed, "bench", "graph", si, rep))
     m = sample_linear_scm(
@@ -448,75 +448,75 @@ def _run_instance(cfg: ExperimentConfig, si: int, rep: int) -> tuple[list[RunRec
         setting=f"{spec.label}/{token}", graph_model=spec.model, d=spec.d, k=spec.k, noise=token,
         repetition=rep, varsortability=v, data_seed=data_seed,
     )
-    seed_path = ("bench", "learner", si, rep)
-    return _evaluate_sample(cfg, g, data, cfg.learners, seed_path, (si, rep), identity)
+    return g, data, ("bench", "learner", si, rep), (si, rep), identity
+
+
+def _run_jobs(cfg: ExperimentConfig, jobs) -> tuple[list[list[RunRecord]], dict]:
+    """Simulate and evaluate one worker's chunk of (setting, repetition) jobs."""
+    return _evaluate_samples(cfg, (_simulate_job(cfg, *job) for job in jobs), cfg.learners)
 
 
 def run_benchmark(cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:
     """Run the full matrix; optionally persist records and raw estimates.
 
-    Jobs are independent per (setting, repetition) and may run on a pool of
-    ``VSB_THREADS`` worker processes, at most one per job and per CPU;
-    records are gathered in deterministic (setting, repetition, learner,
-    regime) order regardless of completion order.
+    The (setting, repetition) jobs are dealt to ``workers`` interleaved
+    chunks, ``jobs[w::workers]``, where ``workers`` is ``VSB_THREADS`` capped
+    by the number of jobs and of CPUs. With more than one, each chunk runs on
+    its own worker process; serial mode is one chunk. A chunk is one
+    ``_evaluate_samples`` call, so the golem fits of all its jobs step in one
+    lockstep batch. Records are gathered in deterministic (setting,
+    repetition, learner, regime) order, the same at any worker count.
     """
     jobs = [(si, rep) for si in range(len(cfg.settings)) for rep in range(cfg.repetitions)]
     workers = min(worker_count(), len(jobs), os.cpu_count() or 1)
-    results = {}
+    chunks = [jobs[w::workers] for w in range(workers)]
+    run = functools.partial(_run_jobs, cfg)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for job, outcome in zip(jobs, pool.map(_run_instance_star, [(cfg, *j) for j in jobs])):
-                results[job] = outcome
+            outcomes = list(pool.map(run, chunks))
     else:
-        for job in jobs:
-            results[job] = _run_instance(cfg, *job)
+        outcomes = list(map(run, chunks))
 
-    records: list[RunRecord] = []
+    results: dict = {}
     estimates: dict = {}
-    for job in jobs:
-        recs, ests = results[job]
-        records.extend(recs)
+    for chunk, (per_sample, ests) in zip(chunks, outcomes):
+        results.update(zip(chunk, per_sample))
         estimates.update(ests)
+    records = [rec for job in jobs for rec in results[job]]
 
     if out_dir is not None:
         write_records(cfg, records, out_dir, estimates=estimates)
     return records
 
 
-def _run_instance_star(args):
-    return _run_instance(*args)
+def write_json(path, obj, indent: int | None = None) -> None:
+    """Write ``obj`` and a newline as ``json.dump`` would, from one
+    ``json.dumps`` string: ``json.dump`` to a file never uses the C encoder."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=indent) + "\n")
 
 
 def write_records(cfg: ExperimentConfig, records: list[RunRecord], out_dir, estimates=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     metric_keys = cfg.metric_keys()
-    fieldnames = list(records[0].row(metric_keys).keys()) if records else []
+    rows = [rec.row(metric_keys) for rec in records]
     with open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [], lineterminator="\n")
         writer.writeheader()
-        for rec in records:
-            writer.writerow(rec.row(metric_keys))
+        writer.writerows(rows)
     payload = {
         "config": cfg.to_json(),
         "config_hash": cfg.config_hash(),
-        "records": [
-            {**rec.row(metric_keys), "wall_seconds": rec.wall_seconds} for rec in records
-        ],
+        "records": [{**row, "wall_seconds": rec.wall_seconds} for row, rec in zip(rows, records)],
     }
-    with open(os.path.join(out_dir, "records.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "records.json"), payload, indent=2)
+    write_json(os.path.join(out_dir, "config.json"), cfg.to_json(), indent=2)
     if estimates:
         est_dir = os.path.join(out_dir, "estimates")
         os.makedirs(est_dir, exist_ok=True)
         for (si, rep, name, regime), west in estimates.items():
             path = os.path.join(est_dir, f"s{si:03d}_r{rep:03d}_{name}_{regime}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(weighted_to_json(west), fh)
-                fh.write("\n")
+            write_json(path, weighted_to_json(west))
 
 
 def weighted_to_json(west: WeightedDag) -> dict:
@@ -573,6 +573,18 @@ def bootstrap(data: Dataset, seed: int) -> Dataset:
     return Dataset(data.x[rows], data.names)
 
 
+def _bootstrap_sample(cfg: ExperimentConfig, data: Dataset, truth: Dag, rep: int) -> tuple:
+    """Bootstrap repetition ``rep`` of a study, as ``_evaluate_samples`` takes it."""
+    data_seed = spawn_seed(cfg.seed, "realdata", "bootstrap", rep)
+    sample = bootstrap(data, data_seed)
+    identity = dict(
+        setting="realdata", graph_model="real", d=data.d, k=0, noise="observational",
+        repetition=rep, varsortability=varsortability(truth, empirical_variances(sample)).v,
+        data_seed=data_seed,
+    )
+    return truth, sample, ("realdata", "learner", rep), (0, rep), identity
+
+
 def realdata_study(data_path, truth_path, cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:
     """Bootstrap evaluation against a user-supplied ground-truth edge list.
 
@@ -593,21 +605,9 @@ def realdata_study(data_path, truth_path, cfg: ExperimentConfig, out_dir=None) -
     learner_list = list(cfg.learners)
     if all(l.name != "empty" for l in learner_list):
         learner_list.append(LearnerConfig("empty"))
-    records = []
-    estimates = {}
-    for rep in range(cfg.repetitions):
-        data_seed = spawn_seed(cfg.seed, "realdata", "bootstrap", rep)
-        sample = bootstrap(data, data_seed)
-        v = varsortability(truth, empirical_variances(sample)).v
-        identity = dict(
-            setting="realdata", graph_model="real", d=data.d, k=0, noise="observational",
-            repetition=rep, varsortability=v, data_seed=data_seed,
-        )
-        recs, ests = _evaluate_sample(
-            cfg, truth, sample, learner_list, ("realdata", "learner", rep), (0, rep), identity
-        )
-        records.extend(recs)
-        estimates.update(ests)
+    samples = (_bootstrap_sample(cfg, data, truth, rep) for rep in range(cfg.repetitions))
+    per_sample, estimates = _evaluate_samples(cfg, samples, learner_list)
+    records = [rec for recs in per_sample for rec in recs]
     if out_dir is not None:
         write_records(cfg, records, out_dir, estimates=estimates)
     return records

@@ -359,6 +359,42 @@ class TestGolem:
         for k in (0, 2):
             assert np.array_equal(outcomes[k][0].w, golem_fit(*problems[k])[0].w)
 
+    def test_batch_composition_changes_no_fit(self):
+        # Three samples with different n, one with a constant column (its nv
+        # fit fails), both variants, two lambda1 values and two iteration
+        # counts: each outcome is the same alone, in its own sample's batch
+        # and in one batch of all samples.
+        g = dag_from_edges(4, [(0, 1), (1, 2), (0, 3)])
+        m = sample_linear_scm(g, DEFAULT_WEIGHT_LAW, NoiseSpec("gaussian", None, DEFAULT_SIGMA_LAW), 78)
+        a, b = simulate(m, 300, 79), simulate(m, 500, 80)
+        x = substream(81, "t").standard_normal((200, 3))
+        degenerate = Dataset(np.column_stack([x, np.full(200, 2.0)]), names(4))
+        short = OptimizerSettings(**{**OptimizerSettings.penalized_defaults("nv").__dict__, "iterations": 300})
+        sparse = OptimizerSettings(**{**short.__dict__, "lambda1": 0.1})
+        longer = OptimizerSettings(**{**short.__dict__, "iterations": 400})
+        samples = [
+            [(dat, v, settings) for dat in (a, standardize(a)) for v in ("ev", "nv") for settings in (short, sparse)],
+            [(dat, v, longer) for dat in (b, standardize(b)) for v in ("ev", "nv")],
+            [(degenerate, v, short) for v in ("ev", "nv")],
+        ]
+
+        def view(outcome):
+            west, trace = (str(outcome), outcome.trace) if isinstance(outcome, Exception) else outcome
+            return west, np.array([list(vars(r).values()) for r in trace.rows])
+
+        alone = [view(golem_fit_batch([problem])[0]) for problems in samples for problem in problems]
+        own = [view(outcome) for problems in samples for outcome in golem_fit_batch(problems)]
+        mixed = [view(outcome) for outcome in golem_fit_batch([p for problems in samples for p in problems][::-1])][::-1]
+        assert "zero residual variance" in alone[-1][0]
+        assert sum(isinstance(west, str) for west, _ in alone) == 1
+        for (west, table), *others in zip(alone, own, mixed):
+            for other_west, other_table in others:
+                if isinstance(west, str):
+                    assert other_west == west
+                else:
+                    assert np.array_equal(other_west.w, west.w)
+                assert np.array_equal(other_table, table, equal_nan=True)  # rho and alpha are NaN
+
     @pytest.mark.slow
     @pytest.mark.parametrize("view", [golem_objective, golem_objective_grad])
     def test_objective_views_report_the_likelihood_before_the_determinant(self, view):

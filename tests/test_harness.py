@@ -194,13 +194,40 @@ class TestRunBenchmark:
             assert key in header
 
     def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        cfg = small_config()
+        # Six jobs dealt to two workers in chunks of three: each worker's
+        # golem batch holds other fits than the serial run's one batch.
+        golem = {"iterations": 200}
+        cfg = small_config(
+            noise=("gaussian-nv", "gaussian-ev"),
+            learners=(
+                LearnerConfig("sortnregress"), LearnerConfig("golem-ev", golem), LearnerConfig("golem-nv", golem),
+            ),
+            repetitions=3,
+            favorable=True,
+        )
+        monkeypatch.delenv("VSB_THREADS", raising=False)
         run_benchmark(cfg, out_dir=tmp_path / "serial")
         monkeypatch.setenv("VSB_THREADS", "2")
         run_benchmark(cfg, out_dir=tmp_path / "pool")
-        assert (tmp_path / "serial" / "records.csv").read_bytes() == (
-            tmp_path / "pool" / "records.csv"
-        ).read_bytes()
+        names = sorted(p.name for p in (tmp_path / "serial" / "estimates").iterdir())
+        assert len(names) == 6 * 3 * 2
+        assert names == sorted(p.name for p in (tmp_path / "pool" / "estimates").iterdir())
+        for name in ["records.csv"] + [f"estimates/{name}" for name in names]:
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+    def test_json_files_match_json_dump(self, tmp_path):
+        # Each JSON file is written from one json.dumps string; its bytes are
+        # those json.dump writes for the same payload.
+        import io
+
+        run_benchmark(small_config(), out_dir=tmp_path)
+        files = [(tmp_path / "records.json", 2), (tmp_path / "config.json", 2)]
+        files += [(path, None) for path in (tmp_path / "estimates").iterdir()]
+        for path, indent in files:
+            expected = io.StringIO()
+            json.dump(json.loads(path.read_text()), expected, indent=indent)
+            expected.write("\n")
+            assert path.read_text() == expected.getvalue()
 
 
     def test_pool_never_exceeds_jobs_or_cpus(self, monkeypatch):
@@ -254,7 +281,7 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(contlearn, "golem_fit_batch", one_by_one)
         run_benchmark(cfg, out_dir=tmp_path / "single")
-        assert sizes == [4, 4]  # per sample: two golem learners on two regimes
+        assert sizes == [8]  # one call per chunk: two golem learners, two regimes, two samples
         for name in ["records.csv"] + [f"estimates/{p.name}" for p in (tmp_path / "single" / "estimates").iterdir()]:
             assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
 
@@ -396,6 +423,33 @@ class TestRealdataStudy:
         for rec in empty_rows:
             assert rec.metrics["shd_w0.3"] == 17
         assert all(r.varsortability is not None for r in records)
+
+    def test_golem_fits_match_fits_one_by_one(self, observational_fixture, tmp_path, monkeypatch):
+        from varsortbench import contlearn
+
+        data_path, truth_path, _ = observational_fixture
+        cfg = ExperimentConfig(
+            graphs=(GraphSpec("ER", 2, 1),),
+            noise=("gaussian-nv",),
+            learners=(LearnerConfig("golem-ev", {"iterations": 150}), LearnerConfig("golem-nv", {"iterations": 100})),
+            repetitions=2,
+            seed=32,
+        )
+        realdata_study(data_path, truth_path, cfg, out_dir=tmp_path / "batched")
+        sizes = []
+        batch = contlearn.golem_fit_batch
+
+        def one_by_one(problems):
+            sizes.append(len(problems))
+            return [batch([problem])[0] for problem in problems]
+
+        monkeypatch.setattr(contlearn, "golem_fit_batch", one_by_one)
+        realdata_study(data_path, truth_path, cfg, out_dir=tmp_path / "single")
+        assert sizes == [8]  # one call for the study: two golem learners, two regimes, two reps
+        names = sorted(p.name for p in (tmp_path / "single" / "estimates").iterdir())
+        assert len(names) == 3 * 2 * 2  # with the empty baseline
+        for name in ["records.csv"] + [f"estimates/{name}" for name in names]:
+            assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
 
     def test_truth_mismatch_raises(self, observational_fixture, tmp_path):
         data_path, _, _ = observational_fixture
