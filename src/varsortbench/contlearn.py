@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, IntegrityError, SingularModelError
-from .graphs import Dag, reachability_adj
+from .graphs import Dag, cycle_free_support
 from .metrics import shd, sid
 from .scm import Dataset, LinearScm, WeightedDag, population_covariance
 
@@ -561,20 +561,12 @@ def _golem_lockstep(members, iterations: int, step_size: float) -> dict:
 
 def threshold_and_break_cycles(w: WeightedDag | np.ndarray, omega: float) -> Dag:
     """Zero entries below ``omega`` in magnitude, then break remaining cycles
-    by repeatedly dropping the smallest-magnitude edge that lies on a cycle."""
+    by repeatedly dropping the smallest-magnitude edge that lies on a cycle:
+    ``graphs.cycle_free_support`` restricted to ``|w| >= omega``."""
     if omega < 0:
         raise ConfigurationError("omega must be non-negative")
-    mat = _as_w(w).copy()
-    mat[np.abs(mat) < omega] = 0.0
-    while True:
-        support = mat != 0
-        reach = reachability_adj(support, reflexive=True)
-        on_cycle = [(abs(mat[i, j]), i, j) for i, j in zip(*np.nonzero(support)) if reach[j, i]]
-        if not on_cycle:
-            break
-        _, i, j = min(on_cycle)
-        mat[i, j] = 0.0
-    return Dag(mat != 0)
+    mat = _as_w(w)
+    return Dag(cycle_free_support(mat) & (np.abs(mat) >= omega))
 
 
 def first_step_residual_variances(data: Dataset, a: float) -> np.ndarray:

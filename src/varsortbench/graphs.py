@@ -30,6 +30,7 @@ __all__ = [
     "d_separated",
     "d_separated_adj",
     "reachability_adj",
+    "cycle_free_support",
     "read_edge_list",
     "write_edge_list",
 ]
@@ -44,20 +45,24 @@ def _as_bool_matrix(a, name: str) -> np.ndarray:
     return out
 
 
-def _is_acyclic(adj: np.ndarray) -> bool:
-    # Kahn's method on a scratch copy of the in-degrees.
-    d = adj.shape[0]
+def _kahn_order(adj: np.ndarray) -> list[int]:
+    """Kahn's method with smallest-index tie-breaking (deterministic); it
+    leaves out every node on or downstream of a cycle."""
     indeg = adj.sum(axis=0).astype(int)
-    stack = [i for i in range(d) if indeg[i] == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
+    heap = [int(i) for i in np.flatnonzero(indeg == 0)]  # ascending, so already a heap
+    out = []
+    while heap:
+        u = heapq.heappop(heap)
+        out.append(u)
         for v in np.flatnonzero(adj[u]):
             indeg[v] -= 1
             if indeg[v] == 0:
-                stack.append(int(v))
-    return seen == d
+                heapq.heappush(heap, int(v))
+    return out
+
+
+def _is_acyclic(adj: np.ndarray) -> bool:
+    return len(_kahn_order(adj)) == adj.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,19 +253,8 @@ def sample_dag(spec: GraphSpec, seed: int) -> Dag:
 
 def topological_order(g: Dag) -> tuple[int, ...]:
     """Kahn's method with smallest-index tie-breaking (deterministic)."""
-    d = g.d
-    indeg = g.adj.sum(axis=0).astype(int)
-    heap = [i for i in range(d) if indeg[i] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        u = heapq.heappop(heap)
-        out.append(u)
-        for v in np.flatnonzero(g.adj[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, int(v))
-    if len(out) != d:
+    out = _kahn_order(g.adj)
+    if len(out) != g.d:
         raise IntegrityError("cycle detected during topological sort")
     return tuple(out)
 
@@ -283,6 +277,23 @@ def reachability_adj(adj: np.ndarray, reflexive: bool = False) -> np.ndarray:
         out |= power
         power = (power.astype(np.int64) @ e) > 0
     return out
+
+
+def cycle_free_support(w: np.ndarray) -> np.ndarray:
+    """The support of ``w`` once each cycle loses its weakest edge, ranked by
+    ``(|w|, i, j)``, until none is left: edge ``i -> j`` drops iff the edges
+    ranked above it, dropped ones included, lead from ``j`` back to ``i``.
+    One walk down the edges on a cycle settles them all (DECISIONS.md)."""
+    support = w != 0
+    on_cycle = support & reachability_adj(support, reflexive=True).T
+    keep = support & ~on_cycle
+    tails, heads = np.nonzero(on_cycle)
+    reach = np.eye(w.shape[0], dtype=bool)
+    for k in np.lexsort((heads, tails, np.abs(w[tails, heads])))[::-1]:
+        i, j = tails[k], heads[k]
+        keep[i, j] = not reach[j, i]
+        reach |= np.outer(reach[:, i], reach[j])
+    return keep
 
 
 def _ancestors_of(adj: np.ndarray, nodes) -> np.ndarray:

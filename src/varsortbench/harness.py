@@ -390,7 +390,8 @@ def _evaluate_samples(
     ``samples`` yields one ``(truth, data, seed_path, est_key, identity)`` at
     a time: a learner's seed is ``spawn_seed(cfg.seed, *seed_path, name)``,
     its estimates are keyed ``(*est_key, name, regime)`` and ``identity``
-    holds the record fields that describe the sample. A learner without a
+    holds the fields that describe the sample other than ``d`` and
+    ``varsortability``, which are read off ``data``. A learner without a
     golem variant is fitted and scored while its sample is live. The golem
     problems of all samples are queued and, after the last sample, fitted in
     one ``contlearn.golem_fit_batch`` call; such a record's ``wall_seconds``
@@ -401,6 +402,11 @@ def _evaluate_samples(
     entries = [(l, LEARNERS[l.name], _learner_settings(l.name, l.settings)) for l in learner_list]
     per_sample, estimates, queued = [], {}, []
     for truth, data, seed_path, est_key, identity in samples:
+        try:
+            v = varsortability(truth, empirical_variances(data)).v
+        except UndefinedMetricError:
+            v = None
+        identity = dict(identity, d=data.d, varsortability=v)
         datasets = {"raw": data}
         if "standardized" in cfg.regimes:
             datasets["standardized"] = standardize(data)
@@ -439,16 +445,11 @@ def _simulate_job(cfg: ExperimentConfig, si: int, rep: int) -> tuple:
         g, cfg.weight_law, cfg.noise_law(token), spawn_seed(cfg.seed, "bench", "scm", si, rep)
     )
     data_seed = spawn_seed(cfg.seed, "bench", "data", si, rep)
-    data = simulate(m, cfg.n, data_seed)
-    try:
-        v = varsortability(g, empirical_variances(data)).v
-    except UndefinedMetricError:
-        v = None
     identity = dict(
-        setting=f"{spec.label}/{token}", graph_model=spec.model, d=spec.d, k=spec.k, noise=token,
-        repetition=rep, varsortability=v, data_seed=data_seed,
+        setting=f"{spec.label}/{token}", graph_model=spec.model, k=spec.k, noise=token,
+        repetition=rep, data_seed=data_seed,
     )
-    return g, data, ("bench", "learner", si, rep), (si, rep), identity
+    return g, simulate(m, cfg.n, data_seed), ("bench", "learner", si, rep), (si, rep), identity
 
 
 def _run_jobs(cfg: ExperimentConfig, jobs) -> tuple[list[list[RunRecord]], dict]:
@@ -576,13 +577,11 @@ def bootstrap(data: Dataset, seed: int) -> Dataset:
 def _bootstrap_sample(cfg: ExperimentConfig, data: Dataset, truth: Dag, rep: int) -> tuple:
     """Bootstrap repetition ``rep`` of a study, as ``_evaluate_samples`` takes it."""
     data_seed = spawn_seed(cfg.seed, "realdata", "bootstrap", rep)
-    sample = bootstrap(data, data_seed)
     identity = dict(
-        setting="realdata", graph_model="real", d=data.d, k=0, noise="observational",
-        repetition=rep, varsortability=varsortability(truth, empirical_variances(sample)).v,
+        setting="realdata", graph_model="real", k=0, noise="observational", repetition=rep,
         data_seed=data_seed,
     )
-    return truth, sample, ("realdata", "learner", rep), (0, rep), identity
+    return truth, bootstrap(data, data_seed), ("realdata", "learner", rep), (0, rep), identity
 
 
 def realdata_study(data_path, truth_path, cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:

@@ -19,6 +19,7 @@ from .errors import ConfigurationError, MecSizeError
 from .graphs import (
     Cpdag,
     Dag,
+    cycle_free_support,
     dag_to_cpdag,
     enumerate_mec,
     reachability_adj,
@@ -51,25 +52,14 @@ def shd(g_true: Dag, g_est: Dag) -> int:
     return int(np.triu(differs | differs.T, 1).sum())
 
 
-def _pair_status(c: Cpdag, i: int, j: int) -> int:
-    # 0 absent, 1 undirected, 2 i->j, 3 j->i
-    if c.undirected[i, j]:
-        return 1
-    if c.directed[i, j]:
-        return 2
-    if c.directed[j, i]:
-        return 3
-    return 0
-
-
 def shd_cpdag(c_true: Cpdag, c_est: Cpdag) -> int:
     """Edit distance between class representatives over unordered pairs."""
     _check_same_d(c_true, c_est)
-    return sum(
-        _pair_status(c_true, i, j) != _pair_status(c_est, i, j)
-        for i in range(c_true.d)
-        for j in range(i + 1, c_true.d)
-    )
+
+    def status(c):  # entry (i, j): 0 absent, 1 undirected, 2 i -> j, 3 j -> i
+        return c.undirected + 2 * c.directed + 3 * c.directed.T
+
+    return int(np.triu(status(c_true) != status(c_est), 1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +203,16 @@ def favorable_threshold_shd(w_est: WeightedDag | np.ndarray, g_true: Dag) -> tup
     """Best-case edit distance over per-instance thresholds.
 
     Candidates are zero plus every distinct weight magnitude nudged up so
-    the corresponding edges drop. Returns the (threshold, shd) pair with
-    the smallest distance, preferring smaller thresholds on ties.
+    the corresponding edges drop; the graph at ``omega`` is the one cycle-free
+    support restricted to ``|w| >= omega``, as in thresholding. Returns the
+    (threshold, shd) pair with the smallest distance, preferring smaller
+    thresholds on ties.
     """
-    from .contlearn import threshold_and_break_cycles  # deferred: avoids an import cycle
-
     w = w_est.w if isinstance(w_est, WeightedDag) else np.asarray(w_est, dtype=float)
-    magnitudes = np.unique(np.abs(w[w != 0]))
-    candidates = [0.0] + [float(np.nextafter(v, np.inf)) for v in magnitudes]
-    best = None
-    for omega in candidates:
-        value = shd(g_true, threshold_and_break_cycles(w, omega))
-        if best is None or value < best[1]:
-            best = (omega, value)
-    return best
+    support, magnitude = cycle_free_support(w), np.abs(w)
+    candidates = [0.0] + [float(np.nextafter(v, np.inf)) for v in np.unique(magnitude[w != 0])]
+    value, omega = min((shd(g_true, Dag(support & (magnitude >= omega))), omega) for omega in candidates)
+    return omega, value
 
 
 def dag_scores(g_true: Dag, g_est: Dag) -> dict:

@@ -319,6 +319,7 @@ def gap_fits():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_10a_order_search_gap(gap_fits):
     raw = gap_fits["sid"][("sortnregress", "raw")]
     std = gap_fits["sid"][("sortnregress", "standardized")]
@@ -348,6 +349,7 @@ def test_criterion_10a_order_search_gap(gap_fits):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10b_constrained_and_ev_degrade_on_standardized(gap_fits):
     for name in ("notears", "golem-ev"):
         raw = gap_fits["sid"][(name, "raw")]
@@ -361,6 +363,7 @@ def test_criterion_10b_constrained_and_ev_degrade_on_standardized(gap_fits):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10c_nv_does_not_degrade(gap_fits):
     raw = gap_fits["sid"][("golem-nv", "raw")]
     std = gap_fits["sid"][("golem-nv", "standardized")]
@@ -448,6 +451,7 @@ def test_criterion_12_landscape_counts():
     )
 
 
+@pytest.mark.slow
 def test_criterion_13_thresholding_regimes(gap_fits):
     checked = 0
     for name in ("notears", "golem-ev", "golem-nv"):
@@ -475,6 +479,7 @@ def test_criterion_13_thresholding_regimes(gap_fits):
     )
 
 
+@pytest.mark.slow
 def test_criterion_14_bench_determinism(tmp_path):
     cfg = ExperimentConfig(
         graphs=(GraphSpec("ER", 10, 2),),

@@ -28,7 +28,8 @@ from varsortbench.contlearn import (
     threshold_and_break_cycles,
 )
 from varsortbench.errors import ConfigurationError, SingularModelError
-from varsortbench.graphs import Dag, dag_from_edges, topological_order
+from varsortbench.graphs import Dag, dag_from_edges, reachability_adj, topological_order
+from varsortbench.metrics import favorable_threshold_shd, shd
 from varsortbench.rng import substream
 from varsortbench.scm import (
     DEFAULT_SIGMA_LAW,
@@ -395,7 +396,6 @@ class TestGolem:
                     assert np.array_equal(other_west.w, west.w)
                 assert np.array_equal(other_table, table, equal_nan=True)  # rho and alpha are NaN
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("view", [golem_objective, golem_objective_grad])
     def test_objective_views_report_the_likelihood_before_the_determinant(self, view):
         data, _ = random_case(2, 46)
@@ -470,6 +470,15 @@ class TestThreshold:
         w[0, 1] = 0.5
         dag = threshold_and_break_cycles(WeightedDag(w), 0.3)
         assert dag.edges() == [(0, 1)]
+
+    def test_dropped_edges_still_close_cycles(self):
+        # c->b 5 and b->c 4 form a cycle, so b->c drops; a->b 1 drops too,
+        # because b->c, c->a lead from b back to a, though b->c is gone.
+        a, b, c = 0, 1, 2
+        w = np.zeros((3, 3))
+        w[c, b], w[b, c], w[c, a], w[a, b] = 5.0, 4.0, 3.0, 1.0
+        assert threshold_and_break_cycles(w, 0.0).edges() == [(c, a), (c, b)]
+        assert threshold_reference(w, 0.0).edges() == [(c, a), (c, b)]
 
 
 class TestFirstStepResiduals:
@@ -560,6 +569,57 @@ class TestFitTrace:
         lines = path.read_text().splitlines()
         assert lines[0] == "outer_iter,objective,mse,h,rho,alpha,max_delta_w"
         assert len(lines) == 2
+
+
+def threshold_reference(w, omega):
+    """Zero entries below ``omega``, then drop the weakest edge on a cycle,
+    ranked by ``(|w|, i, j)``, with a fresh closure per drop, until none is
+    left."""
+    mat = np.asarray(w, dtype=float).copy()
+    mat[np.abs(mat) < omega] = 0.0
+    while True:
+        support = mat != 0
+        reach = reachability_adj(support, reflexive=True)
+        on_cycle = [(abs(mat[i, j]), i, j) for i, j in zip(*np.nonzero(support)) if reach[j, i]]
+        if not on_cycle:
+            return Dag(support)
+        _, i, j = min(on_cycle)
+        mat[i, j] = 0.0
+
+
+@st.composite
+def weights_and_threshold(draw):
+    """Dense weights on d <= 9 nodes, diagonal included (golem leaves it
+    free), with magnitudes drawn from a few levels so ties are common, and
+    a threshold that is often one of the magnitudes."""
+    d = draw(st.integers(min_value=1, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    levels = rng.uniform(0.05, 1.0, size=draw(st.integers(min_value=1, max_value=2 * d * d)))
+    w = rng.choice(levels, size=(d, d)) * rng.choice([-1.0, 1.0], size=(d, d))
+    w *= rng.random((d, d)) < draw(st.floats(min_value=0.0, max_value=1.0))
+    omega = draw(st.one_of(st.just(0.0), st.sampled_from(levels.tolist()), st.floats(min_value=0.0, max_value=1.0)))
+    return w, omega
+
+
+@settings(max_examples=500, deadline=None)
+@given(weights_and_threshold())
+def test_property_threshold_matches_reference(case):
+    w, omega = case
+    assert threshold_and_break_cycles(w, omega) == threshold_reference(w, omega)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights_and_threshold(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_favorable_threshold_matches_reference_sweep(case, seed):
+    w, _ = case
+    d = w.shape[0]
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(d)
+    truth = Dag(np.triu(rng.random((d, d)) < 0.4, 1)[np.ix_(perm, perm)])
+    candidates = [0.0] + [float(np.nextafter(v, np.inf)) for v in np.unique(np.abs(w[w != 0]))]
+    values = [shd(truth, threshold_reference(w, omega)) for omega in candidates]
+    best = int(np.argmin(values))  # the first, so the smallest threshold, on ties
+    assert favorable_threshold_shd(w, truth) == (candidates[best], values[best])
 
 
 @settings(max_examples=200, deadline=None)

@@ -131,6 +131,26 @@ def shd_reference(g_true, g_est):
     )
 
 
+def shd_cpdag_reference(c_true, c_est):
+    """Class edit distance by a loop over unordered pairs, each pair's
+    status read as absent, undirected, i -> j or j -> i."""
+
+    def status(c, i, j):
+        if c.undirected[i, j]:
+            return 1
+        if c.directed[i, j]:
+            return 2
+        if c.directed[j, i]:
+            return 3
+        return 0
+
+    return sum(
+        status(c_true, i, j) != status(c_est, i, j)
+        for i in range(c_true.d)
+        for j in range(i + 1, c_true.d)
+    )
+
+
 def sid_oracle_reference(g_true, g_est, trials=5, seed=0):
     """The linear oracle with one solve per ordered pair (same draws)."""
     d = g_true.d
@@ -239,6 +259,24 @@ def estimate_like(kind, rng, adj, q):
     if kind == "thinned":
         return random_dag_adj(rng, d, 1.0) & (rng.random((d, d)) < q)
     return np.zeros((d, d), dtype=bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["independent", "flipped", "thinned", "empty"]),
+    d=st.integers(min_value=2, max_value=10),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    q=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_shd_cpdag_matches_reference(kind, d, p, q, seed):
+    rng = np.random.default_rng(seed)
+    adj = random_dag_adj(rng, d, p)
+    est = estimate_like(kind, rng, adj, q)
+    assume(est is not None)
+    c, e = dag_to_cpdag(Dag(adj)), dag_to_cpdag(Dag(est))
+    assert shd_cpdag(c, e) == shd_cpdag_reference(c, e)
+    assert shd_cpdag(e, c) == shd_cpdag(c, e)
 
 
 @settings(max_examples=300, deadline=None)
