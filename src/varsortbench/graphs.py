@@ -30,6 +30,7 @@ __all__ = [
     "d_separated",
     "d_separated_adj",
     "reachability_adj",
+    "bool_matmul",
     "cycle_free_support",
     "read_edge_list",
     "write_edge_list",
@@ -45,24 +46,16 @@ def _as_bool_matrix(a, name: str) -> np.ndarray:
     return out
 
 
-def _kahn_order(adj: np.ndarray) -> list[int]:
-    """Kahn's method with smallest-index tie-breaking (deterministic); it
-    leaves out every node on or downstream of a cycle."""
-    indeg = adj.sum(axis=0).astype(int)
-    heap = [int(i) for i in np.flatnonzero(indeg == 0)]  # ascending, so already a heap
-    out = []
-    while heap:
-        u = heapq.heappop(heap)
-        out.append(u)
-        for v in np.flatnonzero(adj[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, int(v))
-    return out
+def bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product of 0/1 matrices as one float64 (BLAS) product
+    thresholded at ``> 0``: every count is at most the inner dimension, so
+    it is exact and the booleans equal those of a boolean product."""
+    return np.matmul(a, b, dtype=np.float64) > 0
 
 
 def _is_acyclic(adj: np.ndarray) -> bool:
-    return len(_kahn_order(adj)) == adj.shape[0]
+    """No node reaches itself by a walk of length >= 1 (a self-loop counts)."""
+    return not reachability_adj(adj).diagonal().any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +246,17 @@ def sample_dag(spec: GraphSpec, seed: int) -> Dag:
 
 def topological_order(g: Dag) -> tuple[int, ...]:
     """Kahn's method with smallest-index tie-breaking (deterministic)."""
-    out = _kahn_order(g.adj)
+    adj = g.adj
+    indeg = adj.sum(axis=0).astype(int)
+    heap = [int(i) for i in np.flatnonzero(indeg == 0)]  # ascending, so already a heap
+    out = []
+    while heap:
+        u = heapq.heappop(heap)
+        out.append(u)
+        for v in np.flatnonzero(adj[u]):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(heap, int(v))
     if len(out) != g.d:
         raise IntegrityError("cycle detected during topological sort")
     return tuple(out)
@@ -262,21 +265,20 @@ def topological_order(g: Dag) -> tuple[int, ...]:
 def reachability_adj(adj: np.ndarray, reflexive: bool = False) -> np.ndarray:
     """Transitive closure of a raw adjacency matrix (no DAG validation).
 
-    The union of the boolean powers ``adj^1 .. adj^d`` (``adj^d`` closes a
-    cycle through all ``d`` nodes), stopped at the first power that adds no
-    pair: each later power is that one times ``adj`` and so adds none
-    either, with or without cycles.
+    Starting from ``adj``, ``closure | closure @ closure`` (by
+    ``bool_matmul``) holds every walk of length 1 .. ``2**k`` after ``k``
+    steps, so about ``log2 d`` products reach the point where it stops
+    growing, cycles and self-loops included.
     """
-    d = adj.shape[0]
-    e = adj.astype(np.int64)
-    out = np.eye(d, dtype=bool) if reflexive else np.zeros((d, d), dtype=bool)
-    power = adj.astype(bool).copy()
-    for _ in range(d):
-        if not (power & ~out).any():
+    closure = np.asarray(adj, dtype=bool)
+    while True:
+        wider = closure | bool_matmul(closure, closure)
+        if np.count_nonzero(wider) == np.count_nonzero(closure):  # closure is a subset of wider
             break
-        out |= power
-        power = (power.astype(np.int64) @ e) > 0
-    return out
+        closure = wider
+    if reflexive:
+        np.fill_diagonal(wider, True)
+    return wider
 
 
 def cycle_free_support(w: np.ndarray) -> np.ndarray:

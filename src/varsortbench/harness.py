@@ -521,12 +521,9 @@ def write_records(cfg: ExperimentConfig, records: list[RunRecord], out_dir, esti
 
 
 def weighted_to_json(west: WeightedDag) -> dict:
-    return {
-        "d": west.d,
-        "edges": [
-            [int(i), int(j), float(west.w[i, j])] for i, j in zip(*np.nonzero(west.w))
-        ],
-    }
+    rows, cols = np.nonzero(west.w)
+    edges = zip(rows.tolist(), cols.tolist(), west.w[rows, cols].tolist())
+    return {"d": west.d, "edges": [list(edge) for edge in edges]}
 
 
 def weighted_from_json(obj: dict) -> WeightedDag:

@@ -215,10 +215,9 @@ def variance_sort_full(data: Dataset) -> Dag:
         raise ConfigurationError("need at least two nodes")
     order = np.argsort(empirical_variances(data), kind="stable")
     adj = np.zeros((data.d, data.d), dtype=bool)
-    for a in range(data.d):
-        for b in range(a + 1, data.d):
-            adj[order[a], order[b]] = True
-    return Dag(adj, order=tuple(int(i) for i in order))
+    earlier, later = np.triu_indices(data.d, k=1)
+    adj[order[earlier], order[later]] = True
+    return Dag(adj, order=tuple(order.tolist()))
 
 
 # ---------------------------------------------------------------------------

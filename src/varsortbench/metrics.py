@@ -6,9 +6,11 @@ estimated parents of ``i``. It is computed by a graphical criterion with one
 search per source node ``i``: a boolean check of the nodes on directed paths
 out of ``i``, then one Bayes-ball search from ``i`` given the estimated
 parents that marks every ``j`` reached by an open path that is not directed
-from ``i``. It is cross-checkable against an independent oracle that
-compares population regression coefficients with path-coefficient sums on
-random linear parameterizations of the true graph.
+from ``i``. The searches of all source nodes run in lockstep, so each step
+is a few boolean matrix products, each one float64 BLAS product by
+``graphs.bool_matmul``. It is cross-checkable against an independent oracle
+that compares population regression coefficients with path-coefficient sums
+on random linear parameterizations of the true graph.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import ConfigurationError, MecSizeError
 from .graphs import (
     Cpdag,
     Dag,
+    bool_matmul,
     cycle_free_support,
     dag_to_cpdag,
     enumerate_mec,
@@ -79,8 +82,8 @@ def _sid_given_truth(truth, g_est: Dag) -> int:
 
     Row ``i`` of every matrix below belongs to source node ``i`` and its
     adjustment set ``Z_i``, the estimated parents of ``i``. The searches of
-    all sources run in lockstep: each step is one boolean matrix product
-    per kind of state.
+    all sources run in lockstep: each step is one ``bool_matmul`` per kind
+    of state.
     """
     adj, reach, desc = truth
     not_source = ~np.eye(adj.shape[0], dtype=bool)
@@ -88,10 +91,10 @@ def _sid_given_truth(truth, g_est: Dag) -> int:
     # A row whose Z_i is the true parent set adds nothing.
     searched = (z != adj.T).any(axis=1)[:, None]
     # an_z[i, v]: v has a reflexive descendant in Z_i, so a collider at v is open.
-    an_z = z @ reach.T
+    an_z = bool_matmul(z, reach.T)
     # j fails outright if some k != i on a directed path i -> ... -> j has
     # a reflexive descendant in Z_i.
-    forbidden = (desc & an_z) @ reach
+    forbidden = bool_matmul(desc & an_z, reach)
     # Bayes-ball from i given Z_i; states are (node, arrived from a parent or
     # a child, path still directed from i). Arriving from a child clears
     # the flag, so only "down" states can still be directed.
@@ -101,9 +104,9 @@ def _sid_given_truth(truth, g_est: Dag) -> int:
     while any(f.any() for f in frontier):
         down_directed, down_other, up = frontier
         step = (
-            (down_directed & passes) @ adj,
-            ((down_other | up) & passes) @ adj,
-            (((down_directed | down_other) & an_z) | (up & passes)) @ adj.T,
+            bool_matmul(down_directed & passes, adj),
+            bool_matmul((down_other | up) & passes, adj),
+            bool_matmul(((down_directed | down_other) & an_z) | (up & passes), adj.T),
         )
         frontier = tuple(new & not_source & ~old for new, old in zip(step, seen))
         for old, new in zip(seen, frontier):

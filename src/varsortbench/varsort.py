@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UndefinedMetricError
-from .graphs import Dag, GraphSpec, sample_dag
+from .graphs import Dag, GraphSpec, bool_matmul, sample_dag
 from .rng import spawn_seed, substream
 from .scm import Dataset, LinearScm, NoiseSpec, WeightLaw, population_covariance, sample_linear_scm
 
@@ -56,7 +56,10 @@ def varsortability(
     """Fraction of directed paths pointing from lower to higher variance.
 
     Variances within relative tolerance ``tol`` of each other score 1/2.
-    Undefined (raises) for graphs without edges.
+    Undefined (raises) for graphs without edges. The adjacency powers are
+    taken by ``bool_matmul`` up to the first empty one, past the longest
+    path; ``per_path_length`` is padded with ``(0.0, 0)`` to ``d - 1``
+    lengths.
     """
     variances = np.asarray(variances, dtype=float)
     if variances.shape != (g.d,):
@@ -71,17 +74,13 @@ def varsortability(
     increasing = ratio > 1.0 + tol
     tied = ~increasing & (ratio > 1.0 - tol)
 
-    adj = g.adj
-    power = adj.copy()
+    power = g.adj
     per_length = []
-    for _ in range(g.d - 1):
-        n_paths = int(power.sum())
-        if n_paths == 0:
-            per_length.append((0.0, 0))
-        else:
-            sortable = float((power & increasing).sum()) + 0.5 * float((power & tied).sum())
-            per_length.append((sortable, n_paths))
-        power = (power.astype(np.int64) @ adj.astype(np.int64)) > 0
+    while power.any():
+        sortable = float((power & increasing).sum()) + 0.5 * float((power & tied).sum())
+        per_length.append((sortable, int(power.sum())))
+        power = bool_matmul(power, g.adj)
+    per_length += [(0.0, 0)] * (g.d - 1 - len(per_length))
     total_paths = sum(c for _, c in per_length)
     total_sortable = sum(s for s, _ in per_length)
     return VarsortReport(

@@ -183,6 +183,48 @@ class TestReachabilityAdj:
         assert reach.sum() == 4
 
 
+def dfs_is_acyclic(adj):
+    """Three-colour depth-first search: an edge back onto the stack (a
+    self-loop included) closes a cycle."""
+    state = [0] * adj.shape[0]  # 0 unvisited, 1 on the stack, 2 done
+
+    def visit(u):
+        state[u] = 1
+        for v in np.flatnonzero(adj[u]):
+            if state[v] == 1 or (state[v] == 0 and not visit(v)):
+                return False
+        state[u] = 2
+        return True
+
+    return all(state[u] or visit(u) for u in range(adj.shape[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.0, max_value=0.8),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_property_dag_and_cpdag_accept_exactly_the_acyclic(d, p, extra, seed):
+    # A random DAG plus ``extra`` random entries, the diagonal included: about
+    # half of the draws hold a cycle.
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(d)
+    adj = np.zeros((d, d), dtype=bool)
+    adj[np.ix_(perm, perm)] = np.triu(rng.random((d, d)) < p, k=1)
+    adj[rng.integers(0, d, extra), rng.integers(0, d, extra)] = True
+    acyclic = dfs_is_acyclic(adj)
+    # Undirected edges only where ``adj`` has none, so nothing else is wrong.
+    free = np.triu(~(adj | adj.T) & (rng.random((d, d)) < 0.5), k=1)
+    for build in (lambda: Dag(adj), lambda: Cpdag(adj, free | free.T)):
+        if acyclic:
+            build()
+        else:
+            with pytest.raises(IntegrityError):
+                build()
+
+
 class TestTopologicalOrder:
     def test_empty_graph_tie_breaking(self):
         assert topological_order(dag_from_edges(3, [])) == (0, 1, 2)

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -501,3 +503,26 @@ class TestLargeGraphPattern:
             )
         assert np.median(raw_sids) <= 0.05 * 50 * 49
         assert stats.mannwhitneyu(std_sids, rand_sids).pvalue > 0.01
+
+
+# records.csv digests of ``round_config(workload, 1, 0)``, the pinned rounds
+# that every change must keep byte-identical.
+PINNED_RECORD_DIGESTS = {
+    "order-search": "fd351995be3231f5",
+    "continuous": "187dcdac556e8eb3",
+    "scoring": "05e6b26f4bcf34f3",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_RECORD_DIGESTS))
+def test_pinned_benchmark_round_records_unchanged(workload, tmp_path, monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "scripts", "record_digests.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts benchmarks/ on it
+    spec = importlib.util.spec_from_file_location("record_digests", path)
+    record_digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record_digests)
+    monkeypatch.setenv("VSB_THREADS", "1")
+    cfg = ExperimentConfig.from_json(record_digests.round_config(workload, 1, 0))
+    run_benchmark(cfg, tmp_path)
+    assert record_digests.digests(str(tmp_path))[0] == PINNED_RECORD_DIGESTS[workload]

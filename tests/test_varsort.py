@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from varsortbench.errors import ConfigurationError, UndefinedMetricError
 from varsortbench.graphs import Dag, GraphSpec, dag_from_edges
@@ -18,6 +18,7 @@ from varsortbench.scm import (
     standardize,
 )
 from varsortbench.varsort import (
+    DEFAULT_TIE_TOL,
     empirical_variances,
     pairwise_bound_mc,
     population_varsortability,
@@ -219,3 +220,42 @@ def test_property_scaling_variances_preserves_value(variances, factor):
     report = varsortability(TRIANGLE, variances)
     scaled = varsortability(TRIANGLE, [v * factor for v in variances])
     assert scaled.v == report.v
+
+
+def per_path_length_reference(adj, variances, tol=DEFAULT_TIE_TOL):
+    """(sortable, path count) for every length 1 .. d - 1 from int64
+    adjacency powers, each taken whether or not the one before was empty."""
+    ratio = variances[None, :] / variances[:, None]
+    increasing = ratio > 1.0 + tol
+    tied = ~increasing & (ratio > 1.0 - tol)
+    power, out = adj.copy(), []
+    for _ in range(adj.shape[0] - 1):
+        n_paths = int(power.sum())
+        if n_paths == 0:
+            out.append((0.0, 0))
+        else:
+            out.append((float((power & increasing).sum()) + 0.5 * float((power & tied).sum()), n_paths))
+        power = (power.astype(np.int64) @ adj.astype(np.int64)) > 0
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=2, max_value=9),
+    st.floats(min_value=0.1, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_property_per_path_length_matches_reference(d, layers, p, seed):
+    # Edges only run from a lower to a higher of ``layers`` layers, so the
+    # longest path is often far shorter than d - 1; three variance levels,
+    # some nudged within the tie tolerance, make ties common.
+    rng = np.random.default_rng(seed)
+    layer = rng.integers(0, layers, size=d)
+    adj = (layer[:, None] < layer[None, :]) & (rng.random((d, d)) < p)
+    assume(adj.any())
+    variances = rng.integers(1, 4, size=d) * (1.0 + rng.choice([0.0, 1e-12], size=d))
+    report = varsortability(Dag(adj), variances)
+    expected = per_path_length_reference(adj, variances)
+    assert report.per_path_length == expected
+    assert report.v == sum(s for s, _ in expected) / sum(c for _, c in expected)
