@@ -292,25 +292,39 @@ class TestCpdag:
             Cpdag(np.zeros((2, 2), dtype=bool), und)
 
 
-def brute_force_mec(g: Dag):
-    """All DAGs with the same skeleton, v-structures, and compelled edges."""
-    reference = dag_to_cpdag(g)
+def v_structures_by_loop(adj):
+    """Every ``(a, j, b)``, ``a < b``, with ``a -> j <- b`` and ``a``, ``b``
+    non-adjacent."""
+    d = len(adj)
+    found = set()
+    for j in range(d):
+        parents = [p for p in range(d) if adj[p][j]]
+        for a, b in itertools.combinations(parents, 2):
+            if not (adj[a][b] or adj[b][a]):
+                found.add((a, j, b))
+    return found
+
+
+def verma_pearl_class(g: Dag):
+    """``(members, cpdag)`` of ``g``'s equivalence class by Verma & Pearl
+    (1990), with no call into the library's CPDAG code: the members are the
+    acyclic orientations of ``g``'s skeleton that have ``g``'s v-structures,
+    each orientation tried in turn; the CPDAG keeps an edge directed only
+    when every member orients it the same way."""
     skeleton = [(i, j) for i in range(g.d) for j in range(i + 1, g.d) if g.adj[i, j] or g.adj[j, i]]
+    target = v_structures_by_loop(g.adj.tolist())
     members = []
-    for orientation in itertools.product((0, 1), repeat=len(skeleton)):
-        adj = np.zeros((g.d, g.d), dtype=bool)
-        for (i, j), flip in zip(skeleton, orientation):
+    for flips in itertools.product((False, True), repeat=len(skeleton)):
+        adj = [[False] * g.d for _ in range(g.d)]
+        for (i, j), flip in zip(skeleton, flips):
             if flip:
-                adj[j, i] = True
+                adj[j][i] = True
             else:
-                adj[i, j] = True
-        try:
-            cand = Dag(adj)
-        except IntegrityError:
-            continue
-        if dag_to_cpdag(cand) == reference:
-            members.append(cand)
-    return members
+                adj[i][j] = True
+        if v_structures_by_loop(adj) == target and dfs_is_acyclic(np.array(adj)):
+            members.append(Dag(np.array(adj)))
+    directed = np.logical_and.reduce([m.adj for m in members])
+    return members, Cpdag(directed, (g.adj | g.adj.T) & ~(directed | directed.T))
 
 
 class TestEnumerateMec:
@@ -364,8 +378,23 @@ class TestEnumerateMec:
         for seed in range(15):
             g = random_dag(5, 0.4, seed + 100)
             got = {m for m in enumerate_mec(dag_to_cpdag(g))}
-            expected = {m for m in brute_force_mec(g)}
+            expected = {m for m in verma_pearl_class(g)[0]}
             assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_property_cpdag_and_class_match_verma_pearl(d, p, seed):
+    g = random_dag(d, p, seed)
+    members, cpdag = verma_pearl_class(g)
+    c = dag_to_cpdag(g)
+    assert c == cpdag
+    got = enumerate_mec(c)
+    assert len(got) == len(members) and set(got) == set(members)
 
 
 def path_blocking_oracle(g: Dag, i, j, zset):
