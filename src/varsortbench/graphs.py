@@ -365,82 +365,49 @@ def d_separated(g: Dag, i: int, j: int, z) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _v_structures(adj: np.ndarray, skeleton: np.ndarray) -> np.ndarray:
+    """The edges of ``adj``'s v-structures: ``a -> j`` such that ``j`` has
+    another parent that ``skeleton`` does not join to ``a``."""
+    return adj & bool_matmul(~skeleton & ~np.eye(adj.shape[0], dtype=bool), adj)
+
+
 def _apply_meek_rules(directed: np.ndarray, undirected: np.ndarray) -> None:
     """Orient undirected edges in place until no rule fires.
 
-    Rules considered for each undirected edge x - y (orienting x -> y):
+    Each round finds every undirected edge x - y that a rule orients
+    x -> y and orients them all at once:
       R1: some z -> x with z, y non-adjacent;
       R2: a directed chain x -> z -> y;
       R3: z, w with x - z, x - w, z -> y, w -> y, z, w non-adjacent;
       R4: z, w with x - z, z -> w, w -> y, z, y non-adjacent, x, w adjacent.
-    Edges are scanned in ascending (x, y) order for determinism.
+    The closure of a PDAG with a consistent extension does not depend on
+    the order in which rules fire (Meek 1995). Without one, two hits may
+    orient an edge both ways; the 2-cycle fails the caller's acyclicity
+    check (DECISIONS.md). R3 and R4 go one node x at a time, so no
+    intermediate exceeds d x d.
     """
-    d = directed.shape[0]
-
-    def adjacent(a, b):
-        return directed[a, b] or directed[b, a] or undirected[a, b]
-
-    changed = True
-    while changed:
-        changed = False
-        for x in range(d):
-            for y in range(d):
-                if not undirected[x, y]:
-                    continue
-                orient = False
-                # R1
-                for zn in np.flatnonzero(directed[:, x]):
-                    if not adjacent(zn, y):
-                        orient = True
-                        break
-                # R2
-                if not orient:
-                    mid = np.flatnonzero(directed[x] & directed[:, y])
-                    if mid.size:
-                        orient = True
-                # R3
-                if not orient:
-                    into_y = np.flatnonzero(directed[:, y] & undirected[x])
-                    for a_idx in range(len(into_y)):
-                        for b_idx in range(a_idx + 1, len(into_y)):
-                            a, b = into_y[a_idx], into_y[b_idx]
-                            if not adjacent(a, b):
-                                orient = True
-                                break
-                        if orient:
-                            break
-                # R4
-                if not orient:
-                    for zn in np.flatnonzero(undirected[x]):
-                        if zn == y:
-                            continue
-                        for w in np.flatnonzero(directed[zn] & directed[:, y]):
-                            if adjacent(x, w) and not adjacent(zn, y):
-                                orient = True
-                                break
-                        if orient:
-                            break
-                if orient:
-                    directed[x, y] = True
-                    undirected[x, y] = undirected[y, x] = False
-                    changed = True
+    apart = ~(directed | directed.T | undirected | np.eye(directed.shape[0], dtype=bool))
+    while True:
+        hits = bool_matmul(directed.T, apart) | bool_matmul(directed, directed)  # R1, R2
+        for x in np.flatnonzero(undirected.any(axis=1)):
+            nb = undirected[x]  # y, z and the w of R3 are undirected neighbours of x
+            into, nb_apart = directed[np.ix_(nb, nb)], apart[np.ix_(nb, nb)]
+            hits[x, nb] |= (into & bool_matmul(nb_apart, into)).any(axis=0)  # R3
+            # R4: chains z -> w -> y with x and w adjacent, z and y apart
+            chains = bool_matmul(directed[nb] & ~apart[x], directed[:, nb])
+            hits[x, nb] |= (nb_apart & chains).any(axis=0)
+        hits &= undirected
+        if not hits.any():
+            return
+        directed |= hits
+        undirected &= ~(hits | hits.T)
 
 
 def dag_to_cpdag(g: Dag) -> Cpdag:
     """Equivalence-class representative: v-structures plus rule closure."""
-    d = g.d
-    skeleton = g.adj | g.adj.T
-    directed = np.zeros((d, d), dtype=bool)
-    undirected = skeleton.copy()
-    for j in range(d):
-        parents = np.flatnonzero(g.adj[:, j])
-        for a_idx in range(len(parents)):
-            for b_idx in range(a_idx + 1, len(parents)):
-                a, b = parents[a_idx], parents[b_idx]
-                if not skeleton[a, b]:
-                    for p in (a, b):
-                        directed[p, j] = True
-                        undirected[p, j] = undirected[j, p] = False
+    undirected = g.adj | g.adj.T  # the skeleton, less the v-structures below
+    directed = _v_structures(g.adj, undirected)
+    undirected &= ~(directed | directed.T)
     _apply_meek_rules(directed, undirected)
     return Cpdag(directed, undirected)
 
@@ -472,31 +439,26 @@ def _mec_size_lower_bound(undirected: np.ndarray) -> int:
 def enumerate_mec(c: Cpdag, cap: int = 10_000) -> list[Dag]:
     """All consistent DAG extensions of ``c``.
 
-    Recursive orientation with rule-closure pruning; every leaf is verified
-    by mapping back to the class representative. Raises ``MecSizeError``
-    when more than ``cap`` members exist, before enumerating any when a
-    lower bound on the class size already exceeds ``cap``.
+    Recursive orientation with rule-closure pruning. A leaf is a member when
+    it has the v-structures of ``c.directed`` (Verma & Pearl 1990); the first
+    member is mapped back to ``c`` once, and if it does not map back, ``c``
+    is no CPDAG and its class is empty. Raises ``MecSizeError`` when more
+    than ``cap`` members exist, before enumerating any when a lower bound on
+    the class size already exceeds ``cap``.
     """
     if cap < 1:
         raise ConfigurationError("cap must be at least 1")
     bound = _mec_size_lower_bound(c.undirected)
     if bound > cap:
         raise MecSizeError(f"equivalence class has at least {bound} members, beyond the cap of {cap}")
-    out: list[Dag] = []
+    skeleton = c.directed | c.directed.T | c.undirected
+    v_structures = _v_structures(c.directed, skeleton)
 
-    def leaf(directed):
-        if not _is_acyclic(directed):
-            return
-        candidate = Dag(directed.copy())
-        if dag_to_cpdag(candidate) == c:
-            out.append(candidate)
-            if len(out) > cap:
-                raise MecSizeError(f"equivalence class exceeds cap of {cap} members")
-
-    def recurse(directed, undirected):
+    def leaves(directed, undirected):
         pairs = np.argwhere(np.triu(undirected))
-        if pairs.size == 0:
-            leaf(directed)
+        if pairs.size == 0:  # acyclic: the root is a Cpdag, and cyclic branches are pruned
+            if np.array_equal(_v_structures(directed, skeleton), v_structures):
+                yield Dag(directed)
             return
         i, j = (int(v) for v in pairs[0])
         for a, b in ((i, j), (j, i)):
@@ -506,9 +468,15 @@ def enumerate_mec(c: Cpdag, cap: int = 10_000) -> list[Dag]:
             uu[a, b] = uu[b, a] = False
             _apply_meek_rules(dd, uu)
             if _is_acyclic(dd):
-                recurse(dd, uu)
+                yield from leaves(dd, uu)
 
-    recurse(c.directed.copy(), c.undirected.copy())
+    out: list[Dag] = []
+    for member in leaves(c.directed.copy(), c.undirected.copy()):
+        if not out and dag_to_cpdag(member) != c:
+            return []
+        out.append(member)
+        if len(out) > cap:
+            raise MecSizeError(f"equivalence class exceeds cap of {cap} members")
     return out
 
 

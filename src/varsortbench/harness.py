@@ -222,27 +222,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        sigma_law = None
-        if obj.get("sigmas"):
-            s = obj["sigmas"]
-            sigma_law = SigmaLaw(s["kind"], s["lo"], s["hi"])
-        return cls(
+        """Inverse of ``to_json``. A key left out takes the field's default;
+        a key that ``to_json`` does not write raises ``ConfigurationError``."""
+        fields = dict(
             graphs=tuple(GraphSpec(g["model"], int(g["d"]), int(g["k"])) for g in obj["graphs"]),
             noise=tuple(obj["noise"]),
-            learners=tuple(
-                LearnerConfig(l["name"], dict(l.get("settings", {}))) for l in obj["learners"]
-            ),
-            weight_law=WeightLaw(tuple(tuple(iv) for iv in obj.get("weights", [[-2, -0.5], [0.5, 2]]))),
-            sigma_law=sigma_law,
-            n=int(obj.get("n", 1000)),
-            repetitions=int(obj.get("repetitions", 10)),
-            regimes=tuple(obj.get("regimes", REGIMES)),
-            omegas=tuple(float(o) for o in obj.get("omegas", (0.3,))),
-            favorable=bool(obj.get("favorable", False)),
-            mec_metrics=bool(obj.get("mec_metrics", False)),
-            mec_cap=int(obj.get("mec_cap", 10_000)),
-            seed=int(obj.get("seed", 0)),
+            learners=tuple(LearnerConfig(l["name"], dict(l.get("settings", {}))) for l in obj["learners"]),
         )
+        if "weights" in obj:
+            fields["weight_law"] = WeightLaw(tuple(tuple(iv) for iv in obj["weights"]))
+        if obj.get("sigmas"):
+            fields["sigma_law"] = SigmaLaw(obj["sigmas"]["kind"], obj["sigmas"]["lo"], obj["sigmas"]["hi"])
+        casts = {"n": int, "repetitions": int, "regimes": tuple, "omegas": lambda v: tuple(map(float, v)),
+                 "favorable": bool, "mec_metrics": bool, "mec_cap": int, "seed": int}
+        fields.update((key, cast(obj[key])) for key, cast in casts.items() if key in obj)
+        cfg = cls(**fields)
+        unknown = sorted(set(obj) - set(cfg.to_json()))
+        if unknown:
+            raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
+        return cfg
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))

@@ -364,8 +364,3 @@ def save_scm(m: LinearScm, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scm_to_json(m), fh, indent=2)
         fh.write("\n")
-
-
-def load_scm(path) -> LinearScm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scm_from_json(json.load(fh))

@@ -1,10 +1,6 @@
 import pytest
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running Monte Carlo test")
-
-
 @pytest.fixture(scope="session")
 def tmp_work(tmp_path_factory):
     return tmp_path_factory.mktemp("work")

@@ -8,6 +8,7 @@ from varsortbench import graphs
 from varsortbench.errors import ConfigurationError, IntegrityError, MecSizeError, ParseError
 from varsortbench.graphs import (
     Cpdag,
+    _is_acyclic,
     _mec_size_lower_bound,
     Dag,
     GraphSpec,
@@ -395,6 +396,158 @@ def test_property_cpdag_and_class_match_verma_pearl(d, p, seed):
     assert c == cpdag
     got = enumerate_mec(c)
     assert len(got) == len(members) and set(got) == set(members)
+
+
+def meek_rules_reference(directed, undirected):
+    """The pair-by-pair closure that ``graphs._apply_meek_rules`` replaced:
+    each undirected edge in ascending (x, y) order, oriented as soon as a
+    rule fires."""
+    d = directed.shape[0]
+
+    def adjacent(a, b):
+        return directed[a, b] or directed[b, a] or undirected[a, b]
+
+    changed = True
+    while changed:
+        changed = False
+        for x in range(d):
+            for y in range(d):
+                if not undirected[x, y]:
+                    continue
+                orient = False
+                # R1
+                for zn in np.flatnonzero(directed[:, x]):
+                    if not adjacent(zn, y):
+                        orient = True
+                        break
+                # R2
+                if not orient:
+                    mid = np.flatnonzero(directed[x] & directed[:, y])
+                    if mid.size:
+                        orient = True
+                # R3
+                if not orient:
+                    into_y = np.flatnonzero(directed[:, y] & undirected[x])
+                    for a_idx in range(len(into_y)):
+                        for b_idx in range(a_idx + 1, len(into_y)):
+                            a, b = into_y[a_idx], into_y[b_idx]
+                            if not adjacent(a, b):
+                                orient = True
+                                break
+                        if orient:
+                            break
+                # R4
+                if not orient:
+                    for zn in np.flatnonzero(undirected[x]):
+                        if zn == y:
+                            continue
+                        for w in np.flatnonzero(directed[zn] & directed[:, y]):
+                            if adjacent(x, w) and not adjacent(zn, y):
+                                orient = True
+                                break
+                        if orient:
+                            break
+                if orient:
+                    directed[x, y] = True
+                    undirected[x, y] = undirected[y, x] = False
+                    changed = True
+
+
+def dag_to_cpdag_reference(g):
+    """The parent-pair loop plus ``meek_rules_reference`` that
+    ``graphs.dag_to_cpdag`` replaced."""
+    d = g.d
+    skeleton = g.adj | g.adj.T
+    directed = np.zeros((d, d), dtype=bool)
+    undirected = skeleton.copy()
+    for j in range(d):
+        parents = np.flatnonzero(g.adj[:, j])
+        for a_idx in range(len(parents)):
+            for b_idx in range(a_idx + 1, len(parents)):
+                a, b = parents[a_idx], parents[b_idx]
+                if not skeleton[a, b]:
+                    for p in (a, b):
+                        directed[p, j] = True
+                        undirected[p, j] = undirected[j, p] = False
+    meek_rules_reference(directed, undirected)
+    return Cpdag(directed, undirected)
+
+
+def enumerate_mec_reference(c, cap):
+    """The enumeration that ``graphs.enumerate_mec`` replaced: every leaf is
+    mapped back to a CPDAG by ``dag_to_cpdag_reference``."""
+    bound = _mec_size_lower_bound(c.undirected)
+    if bound > cap:
+        raise MecSizeError(f"equivalence class has at least {bound} members, beyond the cap of {cap}")
+    out = []
+
+    def leaf(directed):
+        if not _is_acyclic(directed):
+            return
+        candidate = Dag(directed.copy())
+        if dag_to_cpdag_reference(candidate) == c:
+            out.append(candidate)
+            if len(out) > cap:
+                raise MecSizeError(f"equivalence class exceeds cap of {cap} members")
+
+    def recurse(directed, undirected):
+        pairs = np.argwhere(np.triu(undirected))
+        if pairs.size == 0:
+            leaf(directed)
+            return
+        i, j = (int(v) for v in pairs[0])
+        for a, b in ((i, j), (j, i)):
+            dd = directed.copy()
+            uu = undirected.copy()
+            dd[a, b] = True
+            uu[a, b] = uu[b, a] = False
+            meek_rules_reference(dd, uu)
+            if _is_acyclic(dd):
+                recurse(dd, uu)
+
+    recurse(c.directed.copy(), c.undirected.copy())
+    return out
+
+
+def members_or_overflow(enumerate_class, c, cap):
+    try:
+        return enumerate_class(c, cap=cap)
+    except MecSizeError:
+        return "overflow"
+
+
+MEC_CAP = 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_property_cpdag_and_class_match_reference(d, p, seed):
+    g = random_dag(d, p, seed)
+    c = dag_to_cpdag(g)
+    assert c == dag_to_cpdag_reference(g)
+    expected = members_or_overflow(enumerate_mec_reference, c, MEC_CAP)
+    assert members_or_overflow(enumerate_mec, c, MEC_CAP) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_property_class_of_any_cpdag_input_matches_reference(d, p, q, seed):
+    # A DAG's edges split at random into directed and undirected: most such
+    # inputs are no CPDAG, and their class is empty.
+    g = random_dag(d, p, seed)
+    split = g.adj & (np.random.default_rng(seed + 1).random((d, d)) < q)
+    c = Cpdag(g.adj & ~split, split | split.T)
+    expected = members_or_overflow(enumerate_mec_reference, c, MEC_CAP)
+    assert members_or_overflow(enumerate_mec, c, MEC_CAP) == expected
 
 
 def path_blocking_oracle(g: Dag, i, j, zset):

@@ -57,6 +57,19 @@ class TestExperimentConfig:
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
 
+    def test_missing_keys_take_the_field_defaults(self):
+        cfg = small_config()
+        obj = {key: cfg.to_json()[key] for key in ("graphs", "noise", "learners")}
+        expected = ExperimentConfig(graphs=cfg.graphs, noise=cfg.noise, learners=cfg.learners)
+        again = ExperimentConfig.from_json(obj)
+        assert again == expected
+        assert again.config_hash() == expected.config_hash()
+
+    def test_unknown_key_is_rejected(self):
+        obj = {**small_config().to_json(), "mec_metric": True}
+        with pytest.raises(ConfigurationError, match="mec_metric"):
+            ExperimentConfig.from_json(obj)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             small_config(repetitions=0)
