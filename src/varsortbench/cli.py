@@ -4,7 +4,7 @@ Subcommands: simulate, varsort, learn, evaluate, bench, chain, landscape,
 realdata. Outputs are machine-readable (JSON to stdout or CSV files).
 ``bench`` runs on as many worker processes as the ``VSB_THREADS``
 environment variable asks for (default 1), but never more than it has jobs
-or the machine has CPUs.
+or the process may use CPUs.
 """
 
 from __future__ import annotations

@@ -14,13 +14,17 @@ worker count; wall-clock timings therefore live only in ``records.json``.
 from __future__ import annotations
 
 import csv
+import ctypes
 import functools
+import glob
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -55,6 +59,7 @@ __all__ = [
     "LEARNERS",
     "run_learner",
     "run_benchmark",
+    "worker_pool",
     "write_records",
     "load_dataset_csv",
     "bootstrap",
@@ -455,24 +460,93 @@ def _run_jobs(cfg: ExperimentConfig, jobs) -> tuple[list[list[RunRecord]], dict]
     return _evaluate_samples(cfg, (_simulate_job(cfg, *job) for job in jobs), cfg.learners)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The OpenBLAS copy of each package that links one, as its wheel ships it:
+# (package, library file pattern in ``<package>.libs``, thread-count setter).
+_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+)
+
+
+def _openblas(package: str, pattern: str) -> ctypes.CDLL:
+    """The OpenBLAS library that ``package`` ships, loaded if it is not yet."""
+    site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
+    paths = glob.glob(os.path.join(site, f"{package}.libs", pattern))
+    if len(paths) != 1:
+        raise RuntimeError(f"expected one {pattern} next to {package}, found {paths}")
+    return ctypes.CDLL(paths[0])
+
+
+def _pin_blas() -> None:
+    """Pool initializer: run both OpenBLAS copies on one thread in this worker.
+
+    A forked worker inherits the parent's BLAS thread count, and two workers
+    each running that many BLAS threads oversubscribe the CPUs. A missing
+    library or symbol raises, which breaks the pool, rather than leaving the
+    worker unpinned.
+    """
+    for package, pattern, setter in _OPENBLAS:
+        set_threads = getattr(_openblas(package, pattern), setter)
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool) of this process
+
+
+def worker_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` BLAS-pinned worker processes.
+
+    The pool is made on first use and kept for later calls with the same
+    ``workers``; another count shuts it down and makes a new one. Workers
+    start once, so they run the code as it was imported when the pool
+    started, and they stop when the process exits.
+    """
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _drop_pool()
+    if _pool is None:
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas))
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown()
+
+
 def run_benchmark(cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:
     """Run the full matrix; optionally persist records and raw estimates.
 
     The (setting, repetition) jobs are dealt to ``workers`` interleaved
     chunks, ``jobs[w::workers]``, where ``workers`` is ``VSB_THREADS`` capped
-    by the number of jobs and of CPUs. With more than one, each chunk runs on
-    its own worker process; serial mode is one chunk. A chunk is one
+    by the number of jobs and of CPUs this process may use. With more than
+    one, the chunks run on the processes of ``worker_pool(workers)``; serial
+    mode is one chunk, run in this process. A pool whose worker died is
+    dropped, and its ``BrokenProcessPool`` raised. A chunk is one
     ``_evaluate_samples`` call, so the golem fits of all its jobs step in one
     lockstep batch. Records are gathered in deterministic (setting,
     repetition, learner, regime) order, the same at any worker count.
     """
     jobs = [(si, rep) for si in range(len(cfg.settings)) for rep in range(cfg.repetitions)]
-    workers = min(worker_count(), len(jobs), os.cpu_count() or 1)
+    workers = min(worker_count(), len(jobs), _usable_cpus())
     chunks = [jobs[w::workers] for w in range(workers)]
     run = functools.partial(_run_jobs, cfg)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, chunks))
+        try:
+            outcomes = list(worker_pool(workers).map(run, chunks))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     else:
         outcomes = list(map(run, chunks))
 

@@ -30,8 +30,16 @@ from varsortbench.contlearn import (
     threshold_and_break_cycles,
 )
 from varsortbench.graphs import GraphSpec, dag_from_edges, sample_er_dag, topological_order
+from varsortbench import harness
 from varsortbench.harness import ExperimentConfig, LearnerConfig, run_benchmark
-from varsortbench.learners import lasso_bic_parents, mse_gds, mse_gds_from_cov, randomregress, sortnregress
+from varsortbench.learners import (
+    DEFAULT_PARENT_SEARCH,
+    _regress_along_order,
+    mse_gds,
+    mse_gds_from_cov,
+    randomregress,
+    sortnregress,
+)
 from varsortbench.metrics import favorable_threshold_shd, shd, sid, sid_oracle_linear
 from varsortbench.rng import spawn_seed, substream
 from varsortbench.scm import (
@@ -255,14 +263,6 @@ def test_criterion_09_greedy_orientation_law():
 # ---------------------------------------------------------------------------
 
 
-def _regress_along(data, order):
-    """BIC parent search of each node on its predecessors in ``order``."""
-    w = np.zeros((data.d, data.d))
-    for r in range(1, data.d):
-        w[list(order[:r]), order[r]] = lasso_bic_parents(data, order[r], order[:r])
-    return WeightedDag(w)
-
-
 def _reversed_edges(g, variances):
     """Number of true edges i -> j that the ascending variance order puts j before i.
 
@@ -289,8 +289,10 @@ def gap_fits():
         g = sample_er_dag(spec, spawn_seed(MASTER, "c10", "g", rep))
         m = sample_linear_scm(g, DEFAULT_WEIGHT_LAW, noise, spawn_seed(MASTER, "c10", "m", rep))
         samples.append((g, simulate(m, 1000, spawn_seed(MASTER, "c10", "d", rep))))
-    # Both golem variants on every instance and regime, as one lockstep batch.
     regimes = [(g, data, (("raw", data), ("standardized", standardize(data)))) for g, data in samples]
+    # notears on every instance and regime on the harness's worker pool, while
+    # both golem variants run here as one lockstep batch.
+    notears = harness.worker_pool(2).map(notears_fit, [dat for *_, pairs in regimes for _, dat in pairs])
     golem = iter(
         golem_fit_batch(
             [(dat, variant, None) for *_, pairs in regimes for _, dat in pairs for variant in ("ev", "nv")]
@@ -302,7 +304,7 @@ def gap_fits():
             fits = {
                 "sortnregress": sortnregress(dat),
                 "randomregress": randomregress(dat, seed=spawn_seed(MASTER, "c10", "rr", rep)),
-                "notears": notears_fit(dat)[0],
+                "notears": next(notears)[0],
                 "golem-ev": next(golem)[0],
                 "golem-nv": next(golem)[0],
             }
@@ -313,7 +315,7 @@ def gap_fits():
         # error attribution for raw order search: edges the variance order
         # reverses, and parent search along the true order
         out["reversed"].append(_reversed_edges(g, empirical_variances(data)))
-        oracle = _regress_along(data, topological_order(g))
+        oracle = _regress_along_order(data, topological_order(g), DEFAULT_PARENT_SEARCH)
         out["oracle_sid"].append(sid(g, threshold_and_break_cycles(oracle, 0.0)))
     out["elapsed"] = time.monotonic() - start
     return out

@@ -1,13 +1,16 @@
+import ctypes
 import importlib.util
 import json
 import os
+import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from varsortbench import learners
+from varsortbench import harness, learners
 from varsortbench.errors import ConfigurationError, ParseError, SingularModelError
 from varsortbench.graphs import GraphSpec, dag_from_edges, sample_er_dag, write_edge_list
 from varsortbench.harness import (
@@ -48,6 +51,15 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@pytest.fixture
+def fresh_pool():
+    """Drop this process's worker pool before and after the test, so that the
+    test forks workers from the code as it patches it and leaves none behind."""
+    harness._drop_pool()
+    yield
+    harness._drop_pool()
 
 
 class TestExperimentConfig:
@@ -151,8 +163,6 @@ class TestRunBenchmark:
     def test_each_distinct_graph_scored_once(self, monkeypatch):
         # empty's raw and standardized estimates are equal, so a sample's
         # estimates hold repeated graphs; each is scored once
-        from varsortbench import harness
-
         scored = {"dag": [], "class": []}
 
         def counted(kind, score):
@@ -245,32 +255,32 @@ class TestRunBenchmark:
             assert path.read_text() == expected.getvalue()
 
 
-    def test_pool_never_exceeds_jobs_or_cpus(self, monkeypatch):
-        from varsortbench import harness
-
+    def test_pool_never_exceeds_jobs_or_cpus(self, fresh_pool, monkeypatch):
         made = []
 
         class RecordingPool:
             """Stands in for the process pool: records its size, starts nothing."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def map(self, fn, items):
                 return map(fn, items)
+
+            def shutdown(self):
+                pass
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("VSB_THREADS", "1000000")
         cfg = small_config(repetitions=4, learners=(LearnerConfig("empty"),))
         for cpus, expected in ((3, [3]), (8, [4]), (None, [])):
             made.clear()
-            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            if cpus is None:  # no affinity mask on this platform, and no CPU count
+                monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+            else:  # the CPUs this process may use cap the pool, not the machine's
+                monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
             assert len(run_benchmark(cfg)) == 8
             assert made == expected
 
@@ -299,6 +309,164 @@ class TestRunBenchmark:
         assert sizes == [8]  # one call per chunk: two golem learners, two regimes, two samples
         for name in ["records.csv"] + [f"estimates/{p.name}" for p in (tmp_path / "single" / "estimates").iterdir()]:
             assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
+
+
+# Each OpenBLAS copy, as harness._OPENBLAS names it, with its thread-count getter.
+OPENBLAS_GETTERS = (
+    ("numpy", "libscipy_openblas64_-*.so", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_get_num_threads"),
+)
+
+
+def _blas_threads() -> list[int]:
+    counts = []
+    for package, pattern, getter in OPENBLAS_GETTERS:
+        get_threads = getattr(harness._openblas(package, pattern), getter)
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        counts.append(get_threads())
+    return counts
+
+
+def _pin_with(package: str, field: int, value: str) -> None:
+    """Run the pool initializer with one field of ``package``'s entry in
+    ``harness._OPENBLAS`` replaced by ``value``."""
+    table = harness._OPENBLAS
+    harness._OPENBLAS = tuple(e[:field] + (value,) + e[field + 1:] if e[0] == package else e for e in table)
+    try:
+        harness._pin_blas()
+    finally:
+        harness._OPENBLAS = table
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _session_processes(session: int) -> list[int]:
+    """Live (not zombie) processes of a session, read from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                state, _ppid, _pgrp, sid = fh.read().rsplit(")", 1)[1].split()[:4]
+        except (OSError, ValueError):
+            continue
+        if int(sid) == session and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+def _rows(cfg, records):
+    return [r.row(cfg.metric_keys()) for r in records]
+
+
+class TestWorkerPool:
+    def test_workers_run_both_openblas_copies_on_one_thread(self, fresh_pool):
+        before = _blas_threads()
+        pool = harness.worker_pool(2)
+        assert [f.result() for f in [pool.submit(_blas_threads) for _ in range(4)]] == [[1, 1]] * 4
+        assert _blas_threads() == before  # the caller's BLAS is left alone
+
+    @pytest.mark.parametrize(
+        "field, value, error", [(1, "no_such_openblas-*.so", RuntimeError), (2, "no_such_setter", AttributeError)]
+    )
+    def test_initializer_raises_on_a_missing_library_or_symbol(self, field, value, error):
+        # In a worker, so that the test process's BLAS stays as it is.
+        pool = harness.worker_pool(2)
+        for package, *_ in harness._OPENBLAS:
+            with pytest.raises(error):
+                pool.submit(_pin_with, package, field, value).result()
+
+    def test_failed_initializer_breaks_the_call(self, fresh_pool, monkeypatch):
+        monkeypatch.setattr(harness, "_OPENBLAS", harness._OPENBLAS[:1] + (("scipy", "libscipy_openblas-*.so", "nope"),))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("VSB_THREADS", "2")
+        with pytest.raises(BrokenProcessPool):
+            run_benchmark(small_config())
+        assert harness._pool is None
+
+    def test_notears_records_match_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        cfg = small_config(learners=(LearnerConfig("notears"), LearnerConfig("sortnregress")), n=300)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("VSB_THREADS", workers)
+            run_benchmark(cfg, out_dir=tmp_path / workers)
+        names = sorted(p.name for p in (tmp_path / "1" / "estimates").iterdir())
+        assert len(names) == 2 * 2 * 2
+        assert names == sorted(p.name for p in (tmp_path / "2" / "estimates").iterdir())
+        for name in ["records.csv"] + [f"estimates/{name}" for name in names]:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_consecutive_calls_share_the_workers(self, fresh_pool, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("VSB_THREADS", "2")
+        cfg = small_config()
+        first = _rows(cfg, run_benchmark(cfg))
+        pool = harness._pool[1]
+        pids = set(pool._processes)
+        assert _rows(cfg, run_benchmark(cfg)) == first
+        assert harness._pool[1] is pool and set(pool._processes) == pids and len(pids) == 2
+
+    def test_new_worker_count_replaces_the_pool(self, fresh_pool, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        cfg = small_config(repetitions=3)
+        monkeypatch.setenv("VSB_THREADS", "2")
+        two = _rows(cfg, run_benchmark(cfg))
+        old = harness._pool[1]
+        old_pids = set(old._processes)
+        monkeypatch.setenv("VSB_THREADS", "3")
+        assert _rows(cfg, run_benchmark(cfg)) == two
+        workers, pool = harness._pool
+        assert workers == 3 and pool is not old and len(pool._processes) == 3
+        assert not old_pids & set(pool._processes)
+        assert not any(_alive(pid) for pid in old_pids)
+
+    def test_dead_worker_breaks_the_call_and_the_next_gets_a_fresh_pool(self, fresh_pool, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("VSB_THREADS", "2")
+        cfg = small_config(learners=(LearnerConfig("sortnregress"),))
+        caller, fit = os.getpid(), learners.sortnregress
+
+        def die(*args, **kwargs):
+            assert os.getpid() != caller, "the fit ran in the calling process"
+            os._exit(1)
+
+        monkeypatch.setattr(learners, "sortnregress", die)
+        with pytest.raises(BrokenProcessPool):
+            run_benchmark(cfg)
+        assert harness._pool is None
+        monkeypatch.setattr(learners, "sortnregress", fit)
+        records = run_benchmark(cfg)
+        assert all(r.error is None for r in records)
+        monkeypatch.setenv("VSB_THREADS", "1")
+        assert _rows(cfg, records) == _rows(cfg, run_benchmark(cfg))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads processes from /proc")
+    @pytest.mark.parametrize("entry", ["vsb bench", "runner.py"])
+    def test_no_child_outlives_the_process(self, entry, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(small_config().to_json()))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"), "VSB_THREADS": "2"}
+        if entry == "vsb bench":
+            cmd = [sys.executable, "-m", "varsortbench.cli", "bench", "--config", str(config), "--out", str(tmp_path / "out")]
+            stdin = ""
+        else:
+            cmd = [sys.executable, os.path.join(root, "benchmarks", "runner.py"), os.path.join(root, "src")]
+            stdin = json.dumps({"config": str(config), "out": str(tmp_path / "out")}) + '\n{"quit": true}\n'
+        # A new session holds the process and every worker it forks, even one
+        # that outlives it.
+        with subprocess.Popen(
+            cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+            start_new_session=True,
+        ) as proc:
+            _, stderr = proc.communicate(stdin, timeout=120)
+        assert proc.returncode == 0, stderr
+        assert (tmp_path / "out" / "records.csv").exists()
+        assert _session_processes(proc.pid) == []
 
 
 class TestRunLearner:
