@@ -22,7 +22,8 @@ from .metrics import shd, sid
 from .scm import Dataset, LinearScm, WeightedDag, population_covariance
 
 __all__ = [
-    "OptimizerSettings",
+    "NotearsSettings",
+    "GolemSettings",
     "FitTrace",
     "FitTraceRow",
     "mse",
@@ -48,50 +49,47 @@ __all__ = [
 GOLEM_VARIANTS = ("ev", "nv")
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Hyperparameters shared by both solver families.
+# Solver values that no caller sets (DECISIONS.md, "Solver settings").
+# notears' augmented-Lagrangian schedule, with the diagonal of W held at zero:
+RHO_INIT, RHO_MAX, ALPHA_INIT = 1.0, 1e16, 0.0
+H_TOL, PROGRESS_FACTOR = 1e-8, 0.25
+MAX_OUTER, MAX_INNER = 100, 1000
+# golem's acyclicity penalty weight and Adam step size:
+GOLEM_LAMBDA2, GOLEM_STEP_SIZE = 5.0, 1e-3
+GOLEM_LAMBDA1 = {"ev": 2e-2, "nv": 2e-3}  # the default L1 weight of each variant
 
-    ``rho_*``, ``alpha_init``, ``h_tol`` and ``progress_factor`` drive the
-    augmented-Lagrangian schedule; ``step_size`` and ``iterations`` drive
-    gradient descent.
-    """
+
+@dataclass(frozen=True)
+class NotearsSettings:
+    """What a caller may set for ``notears_fit``: the L1 weight."""
 
     lambda1: float = 0.0
-    lambda2: float = 5.0
-    rho_init: float = 1.0
-    rho_max: float = 1e16
-    alpha_init: float = 0.0
-    h_tol: float = 1e-8
-    progress_factor: float = 0.25
-    max_outer: int = 100
-    max_inner: int = 1000
-    step_size: float = 1e-3
-    iterations: int = 10_000
-    fix_diagonal: bool = True
 
     def __post_init__(self):
-        if min(self.rho_init, self.rho_max, self.h_tol, self.step_size) <= 0:
-            raise ConfigurationError("schedule parameters must be positive")
-        if self.rho_init >= self.rho_max:
-            raise ConfigurationError("rho_init must be below rho_max")
-        if not 0 < self.progress_factor < 1:
-            raise ConfigurationError("progress_factor must lie in (0, 1)")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigurationError("penalties must be non-negative")
-        if min(self.max_outer, self.max_inner, self.iterations) < 1:
-            raise ConfigurationError("iteration counts must be positive")
+        if not self.lambda1 >= 0:  # NaN fails too
+            raise ConfigurationError("lambda1 must be non-negative")
+
+
+@dataclass(frozen=True)
+class GolemSettings:
+    """What a caller may set for ``golem_fit``: the L1 weight and the number
+    of Adam steps. ``of(variant)`` gives the variant's defaults."""
+
+    lambda1: float
+    iterations: int = 10_000
+
+    def __post_init__(self):
+        if not self.lambda1 >= 0:  # NaN fails too
+            raise ConfigurationError("lambda1 must be non-negative")
+        if not isinstance(self.iterations, int) or self.iterations < 1:
+            raise ConfigurationError("iterations must be a positive integer")
 
     @classmethod
-    def constrained_defaults(cls, lambda1: float = 0.0) -> "OptimizerSettings":
-        return cls(lambda1=lambda1, fix_diagonal=True)
-
-    @classmethod
-    def penalized_defaults(cls, variant: str) -> "OptimizerSettings":
-        if variant not in GOLEM_VARIANTS:
-            raise ConfigurationError(f"unknown variant {variant!r}")
-        lambda1 = 2e-2 if variant == "ev" else 2e-3
-        return cls(lambda1=lambda1, lambda2=5.0, step_size=1e-3, iterations=10_000, fix_diagonal=False)
+    def of(cls, variant: str, **settings) -> "GolemSettings":
+        """The settings of ``variant`` with ``settings`` replacing its
+        defaults; an unknown key raises ``TypeError``."""
+        _check_variant(variant)
+        return cls(**{"lambda1": GOLEM_LAMBDA1[variant], **settings})
 
 
 @dataclass(frozen=True)
@@ -146,13 +144,10 @@ def mse(w, data: Dataset) -> float:
     return float((resid**2).sum() / data.n)
 
 
-def mse_grad(w, data: Dataset, fix_diagonal: bool = False) -> np.ndarray:
-    """``-(2/n) X^T (X - X W)``; diagonal zeroed when ``fix_diagonal``."""
+def mse_grad(w, data: Dataset) -> np.ndarray:
+    """``-(2/n) X^T (X - X W)``."""
     w = _as_w(w)
-    g = -2.0 / data.n * data.x.T @ (data.x - data.x @ w)
-    if fix_diagonal:
-        np.fill_diagonal(g, 0.0)
-    return g
+    return -2.0 / data.n * data.x.T @ (data.x - data.x @ w)
 
 
 def _residual_variances(imw: np.ndarray, s: np.ndarray):
@@ -292,12 +287,12 @@ def acyclicity_h_grad(w) -> np.ndarray:
     return _acyclicity(_as_w(w)[None])[1][0]
 
 
-def _golem_objective(w, s, n, ev, lam1, lam2, value: bool):
+def _golem_objective(w, s, n, ev, lam1, lam2: float, value: bool):
     """Penalized likelihood of each slice of a (B, d, d) stack, or its gradient.
 
     Slice ``b`` scores ``w[b]`` on the Gram matrix ``s[b]`` of ``n[b]``
     samples, with the equal-variance likelihood where ``ev[b]``: likelihood
-    + ``-log|det(I - W)|`` + ``lam1[b] ||W||_1`` + ``lam2[b] h(W)``. Returns
+    + ``-log|det(I - W)|`` + ``lam1[b] ||W||_1`` + ``lam2 h(W)``. Returns
     ``(out, failed)``: ``failed`` maps each slice whose model is singular at
     ``w`` to the reason, and ``out`` is ``None`` if any slice failed. Else
     ``out`` is the gradient stack or, with ``value``, the objective, the
@@ -324,7 +319,7 @@ def _golem_objective(w, s, n, ev, lam1, lam2, value: bool):
     grad = _likelihood(per_node, sim, total, n, ev, grad=True)
     grad += np.linalg.inv(imw).swapaxes(-1, -2)
     grad += lam1[:, None, None] * np.sign(w)
-    grad += lam2[:, None, None] * h_grad
+    grad += lam2 * h_grad
     return grad, {}
 
 
@@ -332,7 +327,7 @@ def _objective_of_one(w, data: Dataset, variant: str, lambda1: float, lambda2: f
     _check_variant(variant)
     out, failed = _golem_objective(
         _as_w(w)[None], _gram(data)[None], np.array([float(data.n)]), np.array([variant == "ev"]),
-        np.array([lambda1]), np.array([lambda2]), value,
+        np.array([lambda1]), lambda2, value,
     )
     if failed:
         # The likelihood's reason comes first, as its term comes first in the sum.
@@ -355,21 +350,20 @@ def golem_objective_grad(w, data: Dataset, variant: str, lambda1: float, lambda2
 # ---------------------------------------------------------------------------
 
 
-def notears_fit(data: Dataset, settings: OptimizerSettings | None = None) -> tuple[WeightedDag, FitTrace]:
+def notears_fit(data: Dataset, settings: NotearsSettings | None = None) -> tuple[WeightedDag, FitTrace]:
     """Minimize ``1/2 MSE + lambda1 ||W||_1`` subject to ``h(W) = 0``.
 
     The L1 term is handled by splitting ``W`` into positive and negative
     parts, solved per subproblem by L-BFGS-B with the diagonal clamped at
     zero. The penalty weight ``rho`` escalates tenfold whenever ``h`` fails
-    to shrink by ``progress_factor``. Columns are de-meaned first. Returns
+    to shrink by ``PROGRESS_FACTOR``. Columns are de-meaned first. Returns
     the raw weight matrix (thresholding is a separate step) and a trace.
     """
     import scipy.optimize as sopt  # deferred: the only use of scipy, and slow to import
 
-    settings = settings or OptimizerSettings.constrained_defaults()
     s = data.covariance
     d = data.d
-    lam = settings.lambda1
+    lam = (settings or NotearsSettings()).lambda1
 
     def unpack(vec):
         return (vec[: d * d] - vec[d * d :]).reshape(d, d)
@@ -388,29 +382,24 @@ def notears_fit(data: Dataset, settings: OptimizerSettings | None = None) -> tup
         grad = np.concatenate([(smooth_grad + lam).ravel(), (-smooth_grad + lam).ravel()])
         return val, grad
 
-    bounds = [
-        (0.0, 0.0) if settings.fix_diagonal and i == j else (0.0, None)
-        for _ in range(2)
-        for i in range(d)
-        for j in range(d)
-    ]
+    bounds = [(0.0, 0.0) if i == j else (0.0, None) for _ in range(2) for i in range(d) for j in range(d)]
     vec = np.zeros(2 * d * d)
-    rho, alpha, h_val = settings.rho_init, settings.alpha_init, np.inf
+    rho, alpha, h_val = RHO_INIT, ALPHA_INIT, np.inf
     trace = FitTrace()
-    for outer in range(settings.max_outer):
+    for outer in range(MAX_OUTER):
         w_prev = unpack(vec)
         sol = None
-        while rho < settings.rho_max:
+        while rho < RHO_MAX:
             sol = sopt.minimize(
                 objective,
                 vec,
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
-                options={"maxiter": settings.max_inner},
+                options={"maxiter": MAX_INNER},
             )
             h_new = acyclicity_h(unpack(sol.x))
-            if h_new > settings.progress_factor * h_val:
+            if h_new > PROGRESS_FACTOR * h_val:
                 rho *= 10.0
             else:
                 break
@@ -430,11 +419,11 @@ def notears_fit(data: Dataset, settings: OptimizerSettings | None = None) -> tup
                 max_delta_w=float(np.abs(w_now - w_prev).max()),
             )
         )
-        if h_val <= settings.h_tol or rho >= settings.rho_max:
+        if h_val <= H_TOL or rho >= RHO_MAX:
             break
     w_final = unpack(vec)
     trace.w = w_final
-    trace.converged = bool(h_val <= settings.h_tol)
+    trace.converged = bool(h_val <= H_TOL)
     return WeightedDag(w_final), trace
 
 
@@ -446,13 +435,15 @@ def notears_fit(data: Dataset, settings: OptimizerSettings | None = None) -> tup
 def golem_fit(
     data: Dataset,
     variant: str,
-    settings: OptimizerSettings | None = None,
+    settings: GolemSettings | None = None,
 ) -> tuple[WeightedDag, FitTrace]:
     """Gradient descent from the empty graph on the penalized likelihood.
 
-    Runs exactly ``settings.iterations`` adaptive-moment steps; no early
-    stopping. Raises ``SingularModelError`` (carrying the partial trace) if
-    the likelihood degenerates. A batch of one of ``golem_fit_batch``.
+    ``settings`` defaults to ``GolemSettings.of(variant)``. Runs exactly
+    ``settings.iterations`` adaptive-moment steps of size
+    ``GOLEM_STEP_SIZE``; no early stopping. Raises ``SingularModelError``
+    (carrying the partial trace) if the likelihood degenerates. A batch of
+    one of ``golem_fit_batch``.
     """
     (result,) = golem_fit_batch([(data, variant, settings)])
     if isinstance(result, Exception):
@@ -464,26 +455,25 @@ def golem_fit_batch(problems) -> list:
     """Fit several ``(data, variant, settings)`` problems, each as ``golem_fit``
     would, in lockstep.
 
-    Problems with the same node count, ``iterations`` and ``step_size`` take
-    their steps together, one stacked evaluation of the objective per step.
-    Each slice follows exactly the arithmetic of a fit on its own, so no
-    result depends on the rest of the batch. Returns, in problem order, what
+    Problems with the same node count and ``iterations`` take their steps
+    together, one stacked evaluation of the objective per step. Each slice
+    follows exactly the arithmetic of a fit on its own, so no result depends
+    on the rest of the batch. Returns, in problem order, what
     ``golem_fit`` would return or the exception it would raise; a fit that
     fails leaves the batch and the others go on.
     """
     groups: dict = {}
     for index, (data, variant, settings) in enumerate(problems):
         _check_variant(variant)
-        settings = settings or OptimizerSettings.penalized_defaults(variant)
-        key = (data.d, settings.iterations, settings.step_size)
-        groups.setdefault(key, []).append((index, data, variant, settings))
+        settings = settings or GolemSettings.of(variant)
+        groups.setdefault((data.d, settings.iterations), []).append((index, data, variant, settings))
     outcomes: dict = {}
-    for (_, iterations, step_size), members in groups.items():
-        outcomes.update(_golem_lockstep(members, iterations, step_size))
+    for (_, iterations), members in groups.items():
+        outcomes.update(_golem_lockstep(members, iterations))
     return [outcomes[index] for index in range(len(problems))]
 
 
-def _golem_lockstep(members, iterations: int, step_size: float) -> dict:
+def _golem_lockstep(members, iterations: int) -> dict:
     """Adam steps on a stack of ``(index, data, variant, settings)`` problems;
     returns each problem's outcome by index."""
     outcomes: dict = {}
@@ -494,8 +484,6 @@ def _golem_lockstep(members, iterations: int, step_size: float) -> dict:
     n = np.array([float(data.n) for _, data, _, _ in members])
     ev = np.array([variant == "ev" for _, _, variant, _ in members])
     lam1 = np.array([settings.lambda1 for *_, settings in members])
-    lam2 = np.array([settings.lambda2 for *_, settings in members])
-    fix = np.array([settings.fix_diagonal for *_, settings in members])
     w = np.zeros(s.shape)
     m1, m2, w_at_last_row = w.copy(), w.copy(), w.copy()
 
@@ -504,32 +492,29 @@ def _golem_lockstep(members, iterations: int, step_size: float) -> dict:
             outcomes[live[row]] = SingularModelError(reason, trace=traces[live[row]])
         keep = np.ones(len(live), dtype=bool)
         keep[list(failed)] = False
-        return [a[keep] for a in (live, s, n, ev, lam1, lam2, fix, w, m1, m2, w_at_last_row)]
+        return [a[keep] for a in (live, s, n, ev, lam1, w, m1, m2, w_at_last_row)]
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace_every = max(1, iterations // 200)
-    diagonal = slice(None, None, s.shape[-1] + 1)
     for t in range(1, iterations + 1):
-        grad, failed = _golem_objective(w, s, n, ev, lam1, lam2, value=False)
+        grad, failed = _golem_objective(w, s, n, ev, lam1, GOLEM_LAMBDA2, value=False)
         if failed:
-            live, s, n, ev, lam1, lam2, fix, w, m1, m2, w_at_last_row = drop(failed)
+            live, s, n, ev, lam1, w, m1, m2, w_at_last_row = drop(failed)
             if not live.size:
                 return outcomes
-            grad, _ = _golem_objective(w, s, n, ev, lam1, lam2, value=False)
+            grad, _ = _golem_objective(w, s, n, ev, lam1, GOLEM_LAMBDA2, value=False)
         m1 = beta1 * m1 + (1 - beta1) * grad
         m2 = beta2 * m2 + (1 - beta2) * grad**2
         m1_hat = m1 / (1 - beta1**t)
         m2_hat = m2 / (1 - beta2**t)
-        w = w - step_size * m1_hat / (np.sqrt(m2_hat) + eps)
-        if fix.any():
-            w.reshape(len(live), -1)[fix, diagonal] = 0.0
+        w = w - GOLEM_STEP_SIZE * m1_hat / (np.sqrt(m2_hat) + eps)
         if t % trace_every == 0 or t == iterations:
-            out, failed = _golem_objective(w, s, n, ev, lam1, lam2, value=True)
+            out, failed = _golem_objective(w, s, n, ev, lam1, GOLEM_LAMBDA2, value=True)
             if failed:
-                live, s, n, ev, lam1, lam2, fix, w, m1, m2, w_at_last_row = drop(failed)
+                live, s, n, ev, lam1, w, m1, m2, w_at_last_row = drop(failed)
                 if not live.size:
                     return outcomes
-                out, _ = _golem_objective(w, s, n, ev, lam1, lam2, value=True)
+                out, _ = _golem_objective(w, s, n, ev, lam1, GOLEM_LAMBDA2, value=True)
             delta = np.abs(w - w_at_last_row).max(axis=(-2, -1))
             for row, (index, objective, total, h) in enumerate(zip(live, *out)):
                 traces[index].rows.append(

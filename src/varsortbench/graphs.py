@@ -194,10 +194,7 @@ def sample_er_dag(spec: GraphSpec, seed: int) -> Dag:
     perm = rng.permutation(d)
     mask = rng.random((d, d)) < p
     adj = np.zeros((d, d), dtype=bool)
-    for a in range(d):
-        for b in range(a + 1, d):
-            if mask[a, b]:
-                adj[perm[a], perm[b]] = True
+    adj[np.ix_(perm, perm)] = np.triu(mask, 1)  # position pair (a, b) is node pair (perm[a], perm[b])
     return Dag(adj, order=tuple(int(i) for i in perm))
 
 

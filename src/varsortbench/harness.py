@@ -21,11 +21,12 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -107,7 +108,7 @@ def _golem(variant: str) -> Learner:
     return Learner(
         lambda data, s, seed: contlearn.golem_fit(data, variant, s)[0],
         True,
-        lambda **s: replace(contlearn.OptimizerSettings.penalized_defaults(variant), **s),
+        functools.partial(contlearn.GolemSettings.of, variant),
         variant,
     )
 
@@ -133,9 +134,7 @@ LEARNERS = {
         lambda data, s, seed: WeightedDag(np.zeros((data.d, data.d))), False, _no_settings
     ),
     "notears": Learner(
-        lambda data, s, seed: contlearn.notears_fit(data, s)[0],
-        True,
-        lambda **s: replace(contlearn.OptimizerSettings.constrained_defaults(), **s),
+        lambda data, s, seed: contlearn.notears_fit(data, s)[0], True, contlearn.NotearsSettings
     ),
     "golem-ev": _golem("ev"),
     "golem-nv": _golem("nv"),
@@ -191,6 +190,10 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown scale regime {regime!r}")
         if not self.omegas:
             raise ConfigurationError("need at least one threshold")
+        if not all(omega >= 0 for omega in self.omegas):  # NaN fails too
+            raise ConfigurationError("thresholds must be non-negative")
+        if self.mec_cap < 1:
+            raise ConfigurationError("mec_cap must be at least 1")
         if self.mec_metrics and any(spec.d > 10 for spec in self.graphs):
             raise ConfigurationError("equivalence-class metrics are limited to graphs with d <= 10")
 
@@ -506,14 +509,16 @@ def worker_pool(workers: int) -> ProcessPoolExecutor:
 
     The pool is made on first use and kept for later calls with the same
     ``workers``; another count shuts it down and makes a new one. Workers
-    start once, so they run the code as it was imported when the pool
-    started, and they stop when the process exits.
+    are forked, whatever the interpreter's default start method, and start
+    once: they run the modules as this process had them when the pool
+    started, patches included, and they stop when the process exits.
     """
     global _pool
     if _pool is not None and _pool[0] != workers:
         _drop_pool()
     if _pool is None:
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas))
+        fork = multiprocessing.get_context("fork")
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers, mp_context=fork, initializer=_pin_blas))
     return _pool[1]
 
 

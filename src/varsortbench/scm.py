@@ -273,11 +273,8 @@ def sample_linear_scm(
     """Draw one iid weight per edge and per-node sigmas from the given laws."""
     rng = substream(seed, "scm", "parameters")
     w = np.zeros((g.d, g.d))
-    edges = g.edges()
-    if edges:
-        draws = weight_law.sample(len(edges), rng)
-        for (i, j), value in zip(edges, draws):
-            w[i, j] = value
+    if g.n_edges:  # a graph without edges draws no weights
+        w[np.nonzero(g.adj)] = weight_law.sample(g.n_edges, rng)
     noise = noise_law.realize(g.d, rng)
     return LinearScm(g, WeightedDag(w), noise)
 

@@ -14,7 +14,6 @@ from scipy import stats
 
 from varsortbench.chainexp import chain_accuracy_study
 from varsortbench.contlearn import (
-    OptimizerSettings,
     acyclicity_h,
     acyclicity_h_grad,
     enumerate_3node_dags,

@@ -7,7 +7,8 @@ from varsortbench.contlearn import (
     FitTrace,
     FitTraceRow,
     LandscapeRecord,
-    OptimizerSettings,
+    GolemSettings,
+    NotearsSettings,
     acyclicity_h,
     acyclicity_h_grad,
     enumerate_3node_dags,
@@ -115,10 +116,6 @@ class TestGradients:
         # column 0 cannot be reproduced without a self-loop; check column fit
         resid = data.x - data.x @ w
         assert np.allclose(resid[:, 1], 0.0)
-
-    def test_fix_diagonal_zeroes_gradient_diagonal(self):
-        data, w = random_case(3, 42)
-        assert np.all(np.diag(mse_grad(w, data, fix_diagonal=True)) == 0.0)
 
     def test_full_objective_gradients_at_zero(self):
         # equal-variance: -(d / ||X||^2) X^T X + I; non-equal: column-scaled
@@ -235,7 +232,7 @@ class TestNotears:
         mat[0, 1] = 1.5
         m = LinearScm(dag_from_edges(2, [(0, 1)]), WeightedDag(mat), NoiseSpec("gaussian", np.ones(2)))
         data = simulate(m, 1000, 60)
-        west, trace = notears_fit(data, OptimizerSettings.constrained_defaults(lambda1=0.1))
+        west, trace = notears_fit(data, NotearsSettings(lambda1=0.1))
         assert trace.converged
         est = threshold_and_break_cycles(west, 0.3)
         assert est.edges() == [(0, 1)]
@@ -246,7 +243,7 @@ class TestNotears:
         for seed in range(10):
             rng = substream(61, "null", seed)
             data = Dataset(rng.standard_normal((300, 5)), names(5))
-            west, _ = notears_fit(data, OptimizerSettings.constrained_defaults(lambda1=0.1))
+            west, _ = notears_fit(data, NotearsSettings(lambda1=0.1))
             empty += int(threshold_and_break_cycles(west, 0.3).n_edges == 0)
         assert empty >= 9
 
@@ -310,8 +307,7 @@ class TestGolem:
         g = dag_from_edges(3, [(0, 1), (1, 2)])
         m = sample_linear_scm(g, DEFAULT_WEIGHT_LAW, NoiseSpec("gaussian", None, DEFAULT_SIGMA_LAW), 72)
         data = simulate(m, 300, 73)
-        settings = OptimizerSettings.penalized_defaults("nv")
-        settings = OptimizerSettings(**{**settings.__dict__, "iterations": 500})
+        settings = GolemSettings.of("nv", iterations=500)
         w1, _ = golem_fit(data, "nv", settings)
         w2, _ = golem_fit(data, "nv", settings)
         assert np.array_equal(w1.w, w2.w)
@@ -327,13 +323,12 @@ class TestGolem:
         g = dag_from_edges(4, [(0, 1), (1, 2), (0, 3)])
         m = sample_linear_scm(g, DEFAULT_WEIGHT_LAW, NoiseSpec("gaussian", None, DEFAULT_SIGMA_LAW), 75)
         data = simulate(m, 300, 76)
-        short = OptimizerSettings(**{**OptimizerSettings.penalized_defaults("ev").__dict__, "iterations": 300})
-        fixed = OptimizerSettings(**{**short.__dict__, "fix_diagonal": True, "lambda1": 0.1})
+        short = GolemSettings.of("ev", iterations=300)
         problems = [
             (dat, variant, settings)
             for dat in (data, standardize(data))
             for variant in ("ev", "nv")
-            for settings in (short, fixed, OptimizerSettings(**{**short.__dict__, "iterations": 250}))
+            for settings in (short, GolemSettings(0.1, 300), GolemSettings.of("ev", iterations=250))
         ]
         for (west, trace), problem in zip(golem_fit_batch(problems), problems):
             alone_w, alone_trace = golem_fit(*problem)
@@ -349,7 +344,7 @@ class TestGolem:
         x = rng.standard_normal((200, 3))
         degenerate = Dataset(np.column_stack([x, np.full(200, 2.0)]), names(4))
         fine = Dataset(rng.standard_normal((200, 4)), names(4))
-        settings = OptimizerSettings(**{**OptimizerSettings.penalized_defaults("nv").__dict__, "iterations": 200})
+        settings = GolemSettings.of("nv", iterations=200)
         problems = [(fine, "ev", settings), (degenerate, "nv", settings), (fine, "nv", settings)]
         outcomes = golem_fit_batch(problems)
         assert isinstance(outcomes[1], SingularModelError)
@@ -370,9 +365,9 @@ class TestGolem:
         a, b = simulate(m, 300, 79), simulate(m, 500, 80)
         x = substream(81, "t").standard_normal((200, 3))
         degenerate = Dataset(np.column_stack([x, np.full(200, 2.0)]), names(4))
-        short = OptimizerSettings(**{**OptimizerSettings.penalized_defaults("nv").__dict__, "iterations": 300})
-        sparse = OptimizerSettings(**{**short.__dict__, "lambda1": 0.1})
-        longer = OptimizerSettings(**{**short.__dict__, "iterations": 400})
+        short = GolemSettings.of("nv", iterations=300)
+        sparse = GolemSettings(0.1, 300)
+        longer = GolemSettings.of("nv", iterations=400)
         samples = [
             [(dat, v, settings) for dat in (a, standardize(a)) for v in ("ev", "nv") for settings in (short, sparse)],
             [(dat, v, longer) for dat in (b, standardize(b)) for v in ("ev", "nv")],

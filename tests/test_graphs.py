@@ -691,6 +691,31 @@ class TestEdgeListIo:
             read_edge_list(path, d=3)
 
 
+def sample_er_dag_reference(spec, seed):
+    """``sample_er_dag`` as a double loop over position pairs, on the same draws."""
+    from varsortbench.rng import substream
+
+    rng = substream(seed, "graphs", "er")
+    d = spec.d
+    p = min(1.0, 2.0 * spec.k / (d - 1))
+    perm = rng.permutation(d)
+    mask = rng.random((d, d)) < p
+    adj = np.zeros((d, d), dtype=bool)
+    for a in range(d):
+        for b in range(a + 1, d):
+            if mask[a, b]:
+                adj[perm[a], perm[b]] = True
+    return Dag(adj, order=tuple(int(i) for i in perm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10_000))
+def test_property_er_sampler_matches_reference(data, d, seed):
+    spec = GraphSpec("ER", d, data.draw(st.integers(min_value=1, max_value=d - 1)))
+    g, expected = sample_er_dag(spec, seed), sample_er_dag_reference(spec, seed)
+    assert g == expected and g.order == expected.order
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_property_sampled_graphs_sortable(seed):

@@ -1,6 +1,7 @@
 import ctypes
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from varsortbench import harness, learners
+from varsortbench import contlearn, harness, learners
 from varsortbench.errors import ConfigurationError, ParseError, SingularModelError
 from varsortbench.graphs import GraphSpec, dag_from_edges, sample_er_dag, write_edge_list
 from varsortbench.harness import (
@@ -92,6 +93,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             small_config(graphs=(GraphSpec("ER", 20, 2),), mec_metrics=True)
 
+    @pytest.mark.parametrize("omega", [-0.1, float("nan")])
+    def test_negative_threshold_is_rejected(self, omega):
+        with pytest.raises(ConfigurationError, match="thresholds"):
+            small_config(omegas=(0.3, omega))
+
+    def test_mec_cap_below_one_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="mec_cap"):
+            small_config(mec_cap=0)
+
     def test_noise_token_mapping(self):
         cfg = small_config()
         assert cfg.noise_law("gaussian-ev").sigma_law.kind == "fixed"
@@ -146,6 +156,28 @@ class TestRunBenchmark:
         for name in ("sortnregress", "mse-gds", "empty", "notears", "golem-ev"):
             with pytest.raises(ConfigurationError):
                 LearnerConfig(name, {"no_such_option": 1})
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [("notears", "iterations"), ("notears", "rho_init"), ("golem-ev", "rho_init"),
+         ("golem-ev", "max_outer"), ("golem-nv", "lambda2"), ("golem-nv", "step_size")],
+    )
+    def test_key_a_solver_does_not_read_raises(self, name, key):
+        with pytest.raises(ConfigurationError, match=key):
+            LearnerConfig(name, {key: 5.0})
+
+    def test_continuous_learners_take_the_keys_they_read(self):
+        assert LEARNERS["notears"].settings(lambda1=0.1) == contlearn.NotearsSettings(0.1)
+        for variant, default in (("ev", 2e-2), ("nv", 2e-3)):
+            settings = LEARNERS[f"golem-{variant}"].settings(iterations=5)
+            assert settings == contlearn.GolemSettings(lambda1=default, iterations=5)
+        for iterations in (0, 2.5):
+            with pytest.raises(ConfigurationError):
+                LearnerConfig("golem-ev", {"iterations": iterations})
+        for name in ("notears", "golem-nv"):
+            for lambda1 in (-1.0, float("nan")):
+                with pytest.raises(ConfigurationError):
+                    LearnerConfig(name, {"lambda1": lambda1})
 
     def test_learner_failure_marks_row_and_continues(self, monkeypatch):
         def singular(*args, **kwargs):
@@ -261,7 +293,7 @@ class TestRunBenchmark:
         class RecordingPool:
             """Stands in for the process pool: records its size, starts nothing."""
 
-            def __init__(self, max_workers, initializer):
+            def __init__(self, max_workers, mp_context, initializer):
                 made.append(max_workers)
 
             def map(self, fn, items):
@@ -365,6 +397,18 @@ def _rows(cfg, records):
 
 
 class TestWorkerPool:
+    def test_workers_are_forked(self, fresh_pool):
+        # Forked whatever the default start method (forkserver on Linux from
+        # Python 3.14), so workers see the patches that tests apply to modules
+        # before the pool starts.
+        default = multiprocessing.get_start_method()
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            pool = harness.worker_pool(2)
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        assert pool._mp_context is multiprocessing.get_context("fork")
+
     def test_workers_run_both_openblas_copies_on_one_thread(self, fresh_pool):
         before = _blas_threads()
         pool = harness.worker_pool(2)
@@ -686,12 +730,13 @@ class TestLargeGraphPattern:
         assert stats.mannwhitneyu(std_sids, rand_sids).pvalue > 0.01
 
 
-# records.csv digests of ``round_config(workload, 1, 0)``, the pinned rounds
-# that every change must keep byte-identical.
+# (records.csv, estimates/) digests of ``round_config(workload, 1, 0)``, the
+# pinned rounds that every change must keep byte-identical. The estimates
+# digest covers the raw weights, which thresholded records can hide.
 PINNED_RECORD_DIGESTS = {
-    "order-search": "fd351995be3231f5",
-    "continuous": "187dcdac556e8eb3",
-    "scoring": "05e6b26f4bcf34f3",
+    "order-search": ("fd351995be3231f5", "c5ab8bd37c289d16"),
+    "continuous": ("187dcdac556e8eb3", "f5fd1cdfcbe411f2"),
+    "scoring": ("05e6b26f4bcf34f3", "80b3dfe3b9de9985"),
 }
 
 
@@ -706,4 +751,4 @@ def test_pinned_benchmark_round_records_unchanged(workload, tmp_path, monkeypatc
     monkeypatch.setenv("VSB_THREADS", "1")
     cfg = ExperimentConfig.from_json(record_digests.round_config(workload, 1, 0))
     run_benchmark(cfg, tmp_path)
-    assert record_digests.digests(str(tmp_path))[0] == PINNED_RECORD_DIGESTS[workload]
+    assert record_digests.digests(str(tmp_path)) == PINNED_RECORD_DIGESTS[workload]

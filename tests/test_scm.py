@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varsortbench.errors import ConfigurationError, DataError, DegenerateDataError, IntegrityError
-from varsortbench.graphs import dag_from_edges
+from varsortbench.graphs import Dag, dag_from_edges
 from varsortbench.rng import substream
 from varsortbench.scm import (
     DEFAULT_SIGMA_LAW,
@@ -101,6 +102,38 @@ class TestSampleLinearScm:
         m = sample_linear_scm(g, DEFAULT_WEIGHT_LAW, NoiseSpec("gaussian", None, DEFAULT_SIGMA_LAW), 1)
         values = m.weights.w[m.graph.adj]
         assert np.all((np.abs(values) >= 0.5) & (np.abs(values) <= 2.0))
+
+
+def sample_linear_scm_reference(g, weight_law, noise_law, seed):
+    """``sample_linear_scm`` as a loop over edges, on the same draws."""
+    rng = substream(seed, "scm", "parameters")
+    w = np.zeros((g.d, g.d))
+    edges = g.edges()
+    if edges:
+        draws = weight_law.sample(len(edges), rng)
+        for (i, j), value in zip(edges, draws):
+            w[i, j] = value
+    noise = noise_law.realize(g.d, rng)
+    return LinearScm(g, WeightedDag(w), noise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([DEFAULT_WEIGHT_LAW, WeightLaw(((0.2, 0.4), (-3.0, -1.0), (1.0, 1.5)))]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_property_scm_sampler_matches_reference(d, p, weight_law, seed):
+    # Graphs without edges included (p = 0 or d = 1): they must draw no weights.
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(d)
+    g = Dag(np.triu(rng.random((d, d)) < p, 1)[np.ix_(perm, perm)])
+    noise = NoiseSpec("gaussian", None, DEFAULT_SIGMA_LAW)
+    got = sample_linear_scm(g, weight_law, noise, seed)
+    expected = sample_linear_scm_reference(g, weight_law, noise, seed)
+    assert np.array_equal(got.weights.w, expected.weights.w)
+    assert np.array_equal(got.noise.sigma, expected.noise.sigma)
 
 
 class TestSimulate:
