@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -101,6 +102,21 @@ class TestChainCommand:
         std_row = [l for l in lines if ",standardized," in l][0]
         accuracy = float(std_row.split(",")[-2])
         assert 0.68 <= accuracy <= 0.78
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--d", "4", "--reps", "2000", "--seed", "5"), "e3dbe27a90efc96e"),
+            (("--d", "5", "--reps", "300", "--mode", "finite", "--n", "50", "--seed", "6"),
+             "c96df225120c499b"),
+            (("--d", "3", "--reps", "500", "--mode", "finite", "--n", "200", "--noise", "gumbel",
+              "--seed", "7"), "a966a7708d200029"),
+        ],
+    )
+    def test_pinned_study_output(self, capsys, argv, digest):
+        code, out = run_cli(capsys, "chain", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
 
 class TestLandscapeCommand:
