@@ -16,21 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDataError
-from .graphs import dag_from_edges
-from .rng import spawn_seed, substream
-from .scm import (
-    Dataset,
-    LinearScm,
-    NoiseSpec,
-    SigmaLaw,
-    WeightLaw,
-    WeightedDag,
-    default_names,
-    population_covariance,
-    simulate,
-    standardize,
-    standardized_noise,
-)
+from .rng import substream
+from .scm import NOISE_KINDS, SigmaLaw, WeightLaw, standardized_noise
 
 __all__ = [
     "ChainInstance",
@@ -56,9 +43,11 @@ class ChainInstance:
     """One chain model as presented to an orientation rule.
 
     ``weights`` and ``sigmas`` record the generative draw (before any
-    harmonization). ``cov`` or ``data`` hold the observable quantities in
-    presented variable order: for ``true_direction == "backward"`` the
-    variables appear in reverse generative order.
+    harmonization). ``var`` holds the presented variances and ``cov`` the
+    covariances of adjacent presented variables: exact when ``n`` is None,
+    moments of ``n`` simulated observations otherwise. For
+    ``true_direction == "backward"`` the variables appear in reverse
+    generative order.
     """
 
     d: int
@@ -66,8 +55,9 @@ class ChainInstance:
     regime: str
     weights: np.ndarray
     sigmas: np.ndarray
-    cov: np.ndarray | None = None
-    data: Dataset | None = None
+    var: np.ndarray
+    cov: np.ndarray
+    n: int | None = None
     noise_kind: str = "gaussian"
 
     def __post_init__(self):
@@ -75,8 +65,6 @@ class ChainInstance:
             raise ConfigurationError(f"unknown direction {self.true_direction!r}")
         if self.regime not in REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
-        if (self.cov is None) == (self.data is None):
-            raise ConfigurationError("exactly one of cov and data must be present")
 
 
 @dataclass(frozen=True)
@@ -101,18 +89,6 @@ class ChainStudyResult:
     seed: int
 
 
-def _chain_scm(weights: np.ndarray, sigmas: np.ndarray, regime: str, noise_kind: str) -> LinearScm:
-    d = len(sigmas)
-    w = weights.copy()
-    if regime == "harmonized":
-        w = w / np.sqrt(w**2 + 1.0)
-    mat = np.zeros((d, d))
-    for i in range(d - 1):
-        mat[i, i + 1] = w[i]
-    graph = dag_from_edges(d, [(i, i + 1) for i in range(d - 1)], order=tuple(range(d)))
-    return LinearScm(graph, WeightedDag(mat), NoiseSpec(noise_kind, sigmas))
-
-
 def make_chain(
     d: int,
     weight_law: WeightLaw,
@@ -125,38 +101,24 @@ def make_chain(
 ) -> ChainInstance:
     """Draw a chain model and present it under the requested scale regime.
 
-    Population instances carry the exact covariance; passing ``n`` simulates
-    that many observations instead. ``direction="backward"`` relabels the
+    This is the chain that ``chain_accuracy_study`` draws at ``reps = 1``.
+    Population instances carry exact moments; passing ``n`` simulates that
+    many observations instead. ``direction="backward"`` relabels the
     presented variables in reverse.
     """
-    if d < 3:
-        raise ConfigurationError("chain studies need d >= 3")
-    weights = weight_law.sample(d - 1, substream(seed, "chainexp", "weights"))
-    sigmas = sigma_law.sample(d, substream(seed, "chainexp", "sigmas"))
-    scm = _chain_scm(weights, sigmas, regime, noise_kind)
-    cov = None
-    data = None
-    if n is None:
-        cov = population_covariance(scm)
-        if regime == "standardized":
-            scale = np.sqrt(np.diag(cov))
-            cov = cov / np.outer(scale, scale)
-        if direction == "backward":
-            cov = cov[::-1, ::-1].copy()
-    else:
-        data = simulate(scm, n, spawn_seed(seed, "chainexp", "sim"))
-        if regime == "standardized":
-            data = standardize(data)
-        if direction == "backward":
-            data = Dataset(data.x[:, ::-1], default_names(d))
+    weights, sigmas, var, cov = _draw_chains(d, 1, weight_law, sigma_law, regime, n, noise_kind, seed)
+    var, cov = var[0], cov[0]
+    if direction == "backward":
+        var, cov = var[::-1], cov[::-1]
     return ChainInstance(
         d=d,
         true_direction=direction,
         regime=regime,
-        weights=weights,
-        sigmas=sigmas,
+        weights=weights[0],
+        sigmas=sigmas[0],
+        var=var,
         cov=cov,
-        data=data,
+        n=n,
         noise_kind=noise_kind,
     )
 
@@ -213,8 +175,7 @@ def orient_by_variance(inst: ChainInstance, seed: int = 0) -> OrientationDecisio
 
 def _adjacent(inst: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
     """Presented variances and adjacent covariances as a batch of one."""
-    cov = inst.data.covariance if inst.cov is None else inst.cov
-    return np.diag(cov)[None, :], np.diagonal(cov, 1)[None, :]
+    return inst.var[None], inst.cov[None]
 
 
 def _increasingness_rows(seq: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -257,12 +218,37 @@ def _break_ties(decision: np.ndarray, seed) -> np.ndarray:
     return np.where(decision == 0, np.where(coin, 1, -1), decision)
 
 
-def _population_adjacent(weights, sigmas, regime):
-    """Adjacent variances/covariances for a batch of chains, exact."""
+def _draw_chains(d, reps, weight_law, sigma_law, regime, n, noise_kind, seed):
+    """Draw ``reps`` chains on ``d`` nodes and present them under ``regime``.
+
+    Returns the generative weights and sigmas, then the presented variances
+    and adjacent covariances, all in generative order: exact when ``n`` is
+    None, moments of ``n`` simulated observations per chain otherwise.
+    """
+    if d < 3:
+        raise ConfigurationError("chain studies need d >= 3")
+    if regime not in REGIMES:
+        raise ConfigurationError(f"unknown regime {regime!r}")
+    if noise_kind not in NOISE_KINDS:
+        raise ConfigurationError(f"unknown noise kind {noise_kind!r}")
+    if n is not None and n < 2:
+        raise ConfigurationError("finite mode needs a sample size n >= 2")
+    weights = weight_law.sample((reps, d - 1), substream(seed, "chainexp", "weights"))
+    sigmas = sigma_law.sample((reps, d), substream(seed, "chainexp", "sigmas"))
+    if not np.all(sigmas > 0):
+        raise ConfigurationError("all noise standard deviations must be positive")
+    w = weights / np.sqrt(weights**2 + 1.0) if regime == "harmonized" else weights
+    if n is None:
+        var, cov = _population_adjacent(w, sigmas, regime)
+    else:
+        var, cov = _finite_adjacent(w, sigmas, regime, n, noise_kind, substream(seed, "chainexp", "sim"))
+    return weights, sigmas, var, cov
+
+
+def _population_adjacent(w, sigmas, regime):
+    """Adjacent variances/covariances for a batch of chains with (presented)
+    weights ``w``, exact."""
     reps, d = sigmas.shape
-    w = weights
-    if regime == "harmonized":
-        w = w / np.sqrt(w**2 + 1.0)
     var = np.empty((reps, d))
     cov = np.empty((reps, d - 1))
     var[:, 0] = sigmas[:, 0] ** 2
@@ -275,12 +261,10 @@ def _population_adjacent(weights, sigmas, regime):
     return var, cov
 
 
-def _finite_adjacent(weights, sigmas, regime, n, noise_kind, rng, batch=500):
-    """Sample adjacent variances/covariances for a batch of chains."""
+def _finite_adjacent(w, sigmas, regime, n, noise_kind, rng, batch=500):
+    """Sample adjacent variances/covariances for a batch of chains with
+    (presented) weights ``w``."""
     reps, d = sigmas.shape
-    w = weights
-    if regime == "harmonized":
-        w = w / np.sqrt(w**2 + 1.0)
     var = np.empty((reps, d))
     cov = np.empty((reps, d - 1))
     for start in range(0, reps, batch):
@@ -314,31 +298,21 @@ def chain_accuracy_study(
 ) -> ChainStudyResult:
     """Orientation accuracy over ``reps`` chains, balanced forward/backward.
 
-    Population mode evaluates the rule on exact covariances; finite mode
+    Population mode evaluates the rule on exact moments; finite mode
     simulates ``n`` observations per instance. Ties fall to a seeded fair
     coin and are reported separately.
     """
     if reps < 1:
         raise ConfigurationError("need reps >= 1")
-    if regime not in REGIMES:
-        raise ConfigurationError(f"unknown regime {regime!r}")
     if rule not in RULES:
         raise ConfigurationError(f"unknown rule {rule!r}")
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
-    if mode == "finite" and (n is None or n < 2):
+    if mode == "finite" and n is None:
         raise ConfigurationError("finite mode needs a sample size n >= 2")
     if mode == "population":
         n = None
-
-    weights = weight_law.sample((reps, d - 1), substream(seed, "chainexp", "weights"))
-    sigmas = sigma_law.sample((reps, d), substream(seed, "chainexp", "sigmas"))
-    if mode == "population":
-        var, cov = _population_adjacent(weights, sigmas, regime)
-    else:
-        var, cov = _finite_adjacent(
-            weights, sigmas, regime, n, noise_kind, substream(seed, "chainexp", "sim")
-        )
+    _, _, var, cov = _draw_chains(d, reps, weight_law, sigma_law, regime, n, noise_kind, seed)
 
     forward = np.arange(reps) % 2 == 0  # balanced presentation
     decision = _decisions(var, cov, rule, forward)

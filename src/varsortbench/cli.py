@@ -24,7 +24,7 @@ from .scm import (
     SigmaLaw,
     WeightLaw,
     sample_linear_scm,
-    save_scm,
+    scm_to_json,
     simulate,
     standardize,
     write_dataset_csv,
@@ -60,7 +60,7 @@ def _cmd_simulate(args) -> int:
         data = standardize(data)
     write_dataset_csv(data, args.out_data)
     if args.out_scm:
-        save_scm(m, args.out_scm)
+        harness.write_json(args.out_scm, scm_to_json(m), indent=2)
     if args.out_truth:
         write_edge_list(g, args.out_truth)
     print(

@@ -159,6 +159,14 @@ class LearnerConfig:
         _learner_settings(self.name, self.settings)  # an unknown name or key raises here
 
 
+def _list(value) -> list:
+    """``value`` if it is a JSON array; a string or object where a list
+    belongs raises ``TypeError``."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     graphs: tuple[GraphSpec, ...]
@@ -231,19 +239,37 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         """Inverse of ``to_json``. A key left out takes the field's default;
-        a key that ``to_json`` does not write raises ``ConfigurationError``."""
-        fields = dict(
-            graphs=tuple(GraphSpec(g["model"], int(g["d"]), int(g["k"])) for g in obj["graphs"]),
-            noise=tuple(obj["noise"]),
-            learners=tuple(LearnerConfig(l["name"], dict(l.get("settings", {}))) for l in obj["learners"]),
-        )
-        if "weights" in obj:
-            fields["weight_law"] = WeightLaw(tuple(tuple(iv) for iv in obj["weights"]))
-        if obj.get("sigmas"):
-            fields["sigma_law"] = SigmaLaw(obj["sigmas"]["kind"], obj["sigmas"]["lo"], obj["sigmas"]["hi"])
-        casts = {"n": int, "repetitions": int, "regimes": tuple, "omegas": lambda v: tuple(map(float, v)),
-                 "favorable": bool, "mec_metrics": bool, "mec_cap": int, "seed": int}
-        fields.update((key, cast(obj[key])) for key, cast in casts.items() if key in obj)
+        a key that ``to_json`` does not write, a missing required key and a
+        malformed value raise ``ConfigurationError``."""
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"a config must be a JSON object, not {type(obj).__name__}")
+        for key in ("graphs", "noise", "learners"):
+            if key not in obj:
+                raise ConfigurationError(f"missing config key {key!r}")
+        parsers = {  # JSON key: (field, parse)
+            "graphs": ("graphs", lambda v: tuple(
+                GraphSpec(g["model"], int(g["d"]), int(g["k"])) for g in _list(v))),
+            "noise": ("noise", lambda v: tuple(_list(v))),
+            "learners": ("learners", lambda v: tuple(
+                LearnerConfig(l["name"], dict(l.get("settings", {}))) for l in _list(v))),
+            "weights": ("weight_law", lambda v: WeightLaw(tuple(tuple(_list(iv)) for iv in _list(v)))),
+            "sigmas": ("sigma_law", lambda v: SigmaLaw(v["kind"], v["lo"], v["hi"]) if v else None),
+            "regimes": ("regimes", lambda v: tuple(_list(v))),
+            "omegas": ("omegas", lambda v: tuple(map(float, _list(v)))),
+            "n": ("n", int), "repetitions": ("repetitions", int), "mec_cap": ("mec_cap", int),
+            "seed": ("seed", int), "favorable": ("favorable", bool), "mec_metrics": ("mec_metrics", bool),
+        }
+        fields = {}
+        for key, (name, parse) in parsers.items():
+            if key not in obj:
+                continue
+            try:
+                fields[name] = parse(obj[key])
+            except ConfigurationError:
+                raise
+            except (KeyError, TypeError, ValueError) as err:
+                message = f"malformed config key {key!r}: {type(err).__name__} {err}"
+                raise ConfigurationError(message) from err
         cfg = cls(**fields)
         unknown = sorted(set(obj) - set(cfg.to_json()))
         if unknown:

@@ -10,7 +10,6 @@ which every fit reads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -355,9 +354,3 @@ def scm_from_json(obj: dict) -> LinearScm:
         adj[int(i), int(j)] = True
     noise = NoiseSpec(obj["noise"]["kind"], np.asarray(obj["noise"]["sigma"], dtype=float))
     return LinearScm(Dag(adj), WeightedDag(w), noise)
-
-
-def save_scm(m: LinearScm, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scm_to_json(m), fh, indent=2)
-        fh.write("\n")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varsortbench.chainexp import (
+    REGIMES,
+    RULES,
     ChainInstance,
     chain_accuracy_study,
     increasingness,
@@ -20,7 +23,7 @@ SIGMAS = SigmaLaw.uniform(0.5, 2.0)
 class TestMakeChain:
     def test_standardized_population_variances_are_one(self):
         inst = make_chain(4, LAW_WIDE, SIGMAS, regime="standardized", seed=1)
-        assert np.allclose(np.diag(inst.cov), 1.0, atol=1e-12)
+        assert np.allclose(inst.var, 1.0, atol=1e-12)
 
     def test_harmonized_coefficients_match_closed_form(self):
         inst = make_chain(3, LAW_WIDE, SIGMAS, regime="harmonized", seed=2)
@@ -37,12 +40,15 @@ class TestMakeChain:
     def test_backward_presentation_reverses_cov(self):
         fwd = make_chain(4, LAW_WIDE, SIGMAS, direction="forward", seed=4)
         bwd = make_chain(4, LAW_WIDE, SIGMAS, direction="backward", seed=4)
-        assert np.allclose(bwd.cov, fwd.cov[::-1, ::-1])
+        assert np.allclose(bwd.var, fwd.var[::-1])
+        assert np.allclose(bwd.cov, fwd.cov[::-1])
 
     def test_finite_sample_instances_carry_data(self):
         inst = make_chain(3, LAW_WIDE, SIGMAS, seed=5, n=200)
-        assert inst.cov is None
-        assert inst.data.n == 200
+        pop = make_chain(3, LAW_WIDE, SIGMAS, seed=5)
+        assert inst.n == 200
+        assert not np.allclose(inst.var, pop.var)
+        assert not np.allclose(inst.cov, pop.cov)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ConfigurationError):
@@ -63,7 +69,8 @@ class TestPairwiseCoefficients:
             regime="raw",
             weights=np.array([1.0]),
             sigmas=np.array([1.0, 1.0]),
-            cov=np.array([[1.0, 1.0], [1.0, 2.0]]),
+            var=np.array([1.0, 2.0]),
+            cov=np.array([1.0]),
         )
         lr, rl = pairwise_coefficients(inst)
         assert lr.tolist() == [1.0]
@@ -112,7 +119,7 @@ class TestOrientationRules:
 
     def test_variance_rule_on_sorted_chain(self):
         inst = make_chain(3, WeightLaw.symmetric(1.1, 2.0), SigmaLaw.fixed(1.0), seed=10)
-        assert np.all(np.diff(np.diag(inst.cov)) > 0)
+        assert np.all(np.diff(inst.var) > 0)
         assert orient_by_variance(inst).direction == "forward"
 
     def test_variance_rule_ties_on_standardized(self):
@@ -170,3 +177,48 @@ class TestAccuracyStudy:
             chain_accuracy_study(3, LAW_WIDE, 10, "raw", mode="finite")
         with pytest.raises(ConfigurationError):
             chain_accuracy_study(3, LAW_WIDE, 10, "nope")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(3, 6),
+        regime=st.sampled_from(REGIMES),
+        rule=st.sampled_from(RULES),
+        n=st.sampled_from([None, 2, 50]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_make_chain_is_the_study_chain_at_one_rep(self, d, regime, rule, n, seed):
+        inst = make_chain(d, LAW_WIDE, SIGMAS, regime=regime, seed=seed, n=n)
+        orient = orient_by_coefficients if rule == "coefficients" else orient_by_variance
+        decision = orient(inst, seed=seed)
+        mode = "population" if n is None else "finite"
+        result = chain_accuracy_study(d, LAW_WIDE, 1, regime, rule=rule, mode=mode, n=n, seed=seed)
+        assert result.accuracy == float(decision.direction == "forward")
+        assert result.tie_fraction == float(decision.tie)
+
+
+def _chain(d=3, sigma_law=SIGMAS, noise_kind="gaussian", n=None):
+    return make_chain(d, LAW_WIDE, sigma_law, regime="standardized", n=n, noise_kind=noise_kind)
+
+
+def _study(d=3, sigma_law=SIGMAS, noise_kind="gaussian", n=None):
+    mode = "population" if n is None else "finite"
+    return chain_accuracy_study(
+        d, LAW_WIDE, 10, "standardized", mode=mode, n=n, sigma_law=sigma_law, noise_kind=noise_kind
+    )
+
+
+@pytest.mark.parametrize("entry", [_chain, _study], ids=["make_chain", "study"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(d=2),
+        dict(noise_kind="bogus"),
+        dict(sigma_law=SigmaLaw.fixed(0.0)),
+        dict(sigma_law=SigmaLaw.fixed(0.0), n=50),
+        dict(n=1),
+    ],
+    ids=["d2", "noise", "sigma0", "sigma0-finite", "n1"],
+)
+def test_entry_points_refuse_malformed_chains(entry, bad):
+    with pytest.raises(ConfigurationError):
+        entry(**bad)

@@ -83,6 +83,29 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="mec_metric"):
             ExperimentConfig.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda obj: obj["graphs"][0].pop("k"), "graphs"),
+            (lambda obj: obj.update(omegas=["abc"]), "omegas"),
+            (lambda obj: obj.update(sigmas={"kind": "uniform", "lo": 0.5}), "sigmas"),
+            (lambda obj: obj.update(weights=[[1]]), "weights"),
+            (lambda obj: obj.update(noise="gaussian-ev"), "noise"),
+            (lambda obj: obj.update(regimes="raw"), "regimes"),
+        ],
+        ids=["graph-without-k", "omega-not-a-number", "sigmas-without-hi", "interval-of-one",
+             "noise-string", "regimes-string"],
+    )
+    def test_malformed_key_is_named(self, edit, key):
+        obj = small_config().to_json()
+        edit(obj)
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            ExperimentConfig.from_json(obj)
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            ExperimentConfig.from_json([small_config().to_json()])
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             small_config(repetitions=0)
