@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, varsort, learn, evaluate, bench, chain, landscape,
-realdata. Outputs are machine-readable (JSON to stdout or CSV files).
+realdata. Outputs are machine-readable (JSON to stdout or CSV files). A
+user-input error ends a command with one line on stderr and status 2.
 ``bench`` runs on as many worker processes as the ``VSB_THREADS``
 environment variable asks for (default 1), but never more than it has jobs
 or the process may use CPUs.
@@ -16,6 +17,7 @@ import sys
 import numpy as np
 
 from . import chainexp, contlearn, harness
+from .errors import ConfigurationError, DataError, ParseError
 from .graphs import GraphSpec, read_edge_list, sample_dag, write_edge_list
 from .metrics import class_scores, dag_scores
 from .rng import spawn_seed, substream
@@ -136,7 +138,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_chain(args) -> int:
     writer = sys.stdout
-    writer.write("d,weight_law,regime,mode,rule,reps,n,accuracy,ties\n")
+    # Written with the first row, so a refused study prints nothing to stdout.
+    header = "d,weight_law,regime,mode,rule,reps,n,accuracy,ties\n"
     for regime in args.regimes.split(","):
         for rule in args.rules.split(","):
             result = chainexp.chain_accuracy_study(
@@ -152,10 +155,11 @@ def _cmd_chain(args) -> int:
                 seed=args.seed,
             )
             writer.write(
-                f"{result.d},{result.weight_law},{result.regime},{result.mode},"
+                f"{header}{result.d},{result.weight_law},{result.regime},{result.mode},"
                 f"{result.rule},{result.reps},{'' if result.n is None else result.n},"
                 f"{result.accuracy!r},{result.tie_fraction!r}\n"
             )
+            header = ""
     return 0
 
 
@@ -293,8 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A bad config, a malformed input file or unusable
+    data is reported in one line on stderr with exit status 2; any other
+    exception propagates with its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigurationError, ParseError, DataError) as err:
+        print(f"vsb {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -214,9 +214,7 @@ def sample_sf_dag(spec: GraphSpec, seed: int) -> Dag:
     rng = substream(seed, "graphs", "sf")
     d, k = spec.d, spec.k
     pos_adj = np.zeros((d, d), dtype=bool)
-    for b in range(k):
-        for a in range(b):
-            pos_adj[a, b] = True
+    pos_adj[:k, :k] = np.triu(np.ones((k, k), dtype=bool), 1)
     degree = np.zeros(d, dtype=float)
     degree[:k] = k - 1
     for new in range(k, d):
@@ -225,15 +223,14 @@ def sample_sf_dag(spec: GraphSpec, seed: int) -> Dag:
         else:
             weights = degree[:new] / degree[:new].sum()
             targets = rng.choice(new, size=k, replace=False, p=weights)
-        for t in targets:
-            pos_adj[t, new] = True
-            degree[t] += 1
+        pos_adj[targets, new] = True
+        degree[targets] += 1  # the k targets are distinct
         degree[new] = k
     perm = rng.permutation(d)
+    rows, cols = np.nonzero(pos_adj)
     adj = np.zeros((d, d), dtype=bool)
-    for a, b in zip(*np.nonzero(pos_adj)):
-        adj[perm[a], perm[b]] = True
-    return Dag(adj, order=tuple(int(i) for i in perm))
+    adj[perm[rows], perm[cols]] = True
+    return Dag(adj, order=tuple(perm.tolist()))
 
 
 def sample_dag(spec: GraphSpec, seed: int) -> Dag:

@@ -6,9 +6,11 @@ both scale regimes. All per-instance seeds derive from
 (master seed, setting index, repetition) only, so adding a learner never
 changes the generated data. Each worker takes an interleaved chunk of the
 (setting, repetition) jobs and fits the golem problems of all of them in
-one lockstep batch, whose fits do not depend on each other. Reruns with the
-same config and master seed produce byte-identical ``records.csv`` at any
-worker count; wall-clock timings therefore live only in ``records.json``.
+one lockstep batch, and the parent searches of sortnregress and
+randomregress in another; no fit depends on the rest of its batch. Reruns
+with the same config and master seed produce byte-identical
+``records.csv`` at any worker count; wall-clock timings therefore live only
+in ``records.json``.
 """
 
 from __future__ import annotations
@@ -80,18 +82,28 @@ NOISE_SETTINGS = {
 }
 
 
+class Batch(NamedTuple):
+    """How the harness fits a learner's problems of many samples together:
+    ``problem(data, settings, seed)`` keeps what one fit needs, and
+    ``fit(problems)`` returns, in problem order, each fit's weights or the
+    exception a fit of its own would raise."""
+
+    problem: Callable[[Dataset, object, int], object]
+    fit: Callable[[list], list]
+
+
 class Learner(NamedTuple):
     """``settings(**keys)`` builds what ``fit(data, settings, seed)`` takes
     from a config's settings keys, raising ``TypeError`` on an unknown key.
     ``fit`` returns raw weights, to be thresholded if ``thresholded``.
-    Where ``golem_variant`` is set, ``fit`` is ``contlearn.golem_fit`` of that
-    variant, and the harness fits those of a worker's jobs together through
-    ``contlearn.golem_fit_batch``."""
+    Where ``batch`` is set, ``fit`` is a batch of one of ``batch.fit``, and
+    the harness fits the problems of all of a worker's jobs in one
+    ``batch.fit`` call."""
 
     fit: Callable[[Dataset, object, int], WeightedDag]
     thresholded: bool
     settings: Callable[..., object]
-    golem_variant: str | None = None
+    batch: Batch | None = None
 
 
 def _no_settings() -> None:
@@ -104,12 +116,21 @@ def _mse_gds_settings(**settings) -> dict:
     return settings
 
 
+def _golem_batch(problems) -> list:
+    return [outcome if isinstance(outcome, Exception) else outcome[0]
+            for outcome in contlearn.golem_fit_batch(problems)]
+
+
+def _parent_search_batch(problems) -> list:
+    return learners.regress_along_orders(problems)
+
+
 def _golem(variant: str) -> Learner:
     return Learner(
         lambda data, s, seed: contlearn.golem_fit(data, variant, s)[0],
         True,
         functools.partial(contlearn.GolemSettings.of, variant),
-        variant,
+        Batch(lambda data, s, seed: (data, variant, s), _golem_batch),
     )
 
 
@@ -117,12 +138,16 @@ def _golem(variant: str) -> Learner:
 # installed on a module attribute (a tracer, a test double) sees every call.
 LEARNERS = {
     "sortnregress": Learner(
-        lambda data, s, seed: learners.sortnregress(data, s), False, learners.ParentSearchConfig
+        lambda data, s, seed: learners.sortnregress(data, s),
+        False,
+        learners.ParentSearchConfig,
+        Batch(lambda data, s, seed: learners.sortnregress_search(data, s), _parent_search_batch),
     ),
     "randomregress": Learner(
         lambda data, s, seed: learners.randomregress(data, s, seed=seed),
         False,
         learners.ParentSearchConfig,
+        Batch(lambda data, s, seed: learners.randomregress_search(data, s, seed), _parent_search_batch),
     ),
     "varsort-full": Learner(
         lambda data, s, seed: WeightedDag(learners.variance_sort_full(data).adj.astype(float)),
@@ -164,6 +189,23 @@ def _list(value) -> list:
     belongs raises ``TypeError``."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _integer(value) -> int:
+    """``value`` as an ``int`` if it is an integral JSON number; a bool, a
+    string or a fraction raises ``TypeError`` or ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    """``value`` if it is a JSON boolean; anything else raises ``TypeError``."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {type(value).__name__}")
     return value
 
 
@@ -240,7 +282,8 @@ class ExperimentConfig:
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         """Inverse of ``to_json``. A key left out takes the field's default;
         a key that ``to_json`` does not write, a missing required key and a
-        malformed value raise ``ConfigurationError``."""
+        malformed value raise ``ConfigurationError``. Counts and seeds take
+        only integral numbers, and switches only JSON booleans."""
         if not isinstance(obj, dict):
             raise ConfigurationError(f"a config must be a JSON object, not {type(obj).__name__}")
         for key in ("graphs", "noise", "learners"):
@@ -248,7 +291,7 @@ class ExperimentConfig:
                 raise ConfigurationError(f"missing config key {key!r}")
         parsers = {  # JSON key: (field, parse)
             "graphs": ("graphs", lambda v: tuple(
-                GraphSpec(g["model"], int(g["d"]), int(g["k"])) for g in _list(v))),
+                GraphSpec(g["model"], _integer(g["d"]), _integer(g["k"])) for g in _list(v))),
             "noise": ("noise", lambda v: tuple(_list(v))),
             "learners": ("learners", lambda v: tuple(
                 LearnerConfig(l["name"], dict(l.get("settings", {}))) for l in _list(v))),
@@ -256,8 +299,9 @@ class ExperimentConfig:
             "sigmas": ("sigma_law", lambda v: SigmaLaw(v["kind"], v["lo"], v["hi"]) if v else None),
             "regimes": ("regimes", lambda v: tuple(_list(v))),
             "omegas": ("omegas", lambda v: tuple(map(float, _list(v)))),
-            "n": ("n", int), "repetitions": ("repetitions", int), "mec_cap": ("mec_cap", int),
-            "seed": ("seed", int), "favorable": ("favorable", bool), "mec_metrics": ("mec_metrics", bool),
+            "n": ("n", _integer), "repetitions": ("repetitions", _integer), "mec_cap": ("mec_cap", _integer),
+            "seed": ("seed", _integer), "favorable": ("favorable", _boolean),
+            "mec_metrics": ("mec_metrics", _boolean),
         }
         fields = {}
         for key, (name, parse) in parsers.items():
@@ -407,11 +451,11 @@ def _fill_record(
     record.wall_seconds += time.perf_counter() - start
 
 
-def _golem_weights(outcome) -> WeightedDag:
-    """The weights of one ``golem_fit_batch`` outcome, or its exception raised."""
+def _weights(outcome) -> WeightedDag:
+    """The weights of one batch outcome, or its exception raised."""
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome[0]
+    return outcome
 
 
 def _evaluate_samples(
@@ -424,15 +468,16 @@ def _evaluate_samples(
     its estimates are keyed ``(*est_key, name, regime)`` and ``identity``
     holds the fields that describe the sample other than ``d`` and
     ``varsortability``, which are read off ``data``. A learner without a
-    golem variant is fitted and scored while its sample is live. The golem
-    problems of all samples are queued and, after the last sample, fitted in
-    one ``contlearn.golem_fit_batch`` call; such a record's ``wall_seconds``
-    is an equal share of that call plus its own scoring time. Returns each
+    batch hook is fitted and scored while its sample is live. A learner with
+    one queues its problem, which keeps only what the fit needs; after the
+    last sample each batch function fits all of its queued problems in one
+    call. Such a record's ``wall_seconds`` is the time to make its problem,
+    an equal share of that call and its own scoring time. Returns each
     sample's records in (learner, regime) order, and the estimates.
     """
     chash = cfg.config_hash()
     entries = [(l, LEARNERS[l.name], _learner_settings(l.name, l.settings)) for l in learner_list]
-    per_sample, estimates, queued = [], {}, []
+    per_sample, estimates, queued = [], {}, {}
     for truth, data, seed_path, est_key, identity in samples:
         try:
             v = varsortability(truth, empirical_variances(data)).v
@@ -453,19 +498,22 @@ def _evaluate_samples(
                 )
                 per_sample[-1].append(record)
                 task = (record, truth, scored, estimates, (*est_key, learner.name, regime))
-                if entry.golem_variant is None:
+                if entry.batch is None:
                     _fill_record(cfg, *task, entry.fit, datasets[regime], settings, learner_seed)
-                else:
-                    queued.append((task, (datasets[regime], entry.golem_variant, settings)))
-        # Free this sample while the next one is made; queued problems keep their own data.
+                    continue
+                start = time.perf_counter()
+                problem = entry.batch.problem(datasets[regime], settings, learner_seed)
+                record.wall_seconds = time.perf_counter() - start
+                queued.setdefault(entry.batch.fit, []).append((task, problem))
+        # Free this sample while the next one is made; queued problems keep what they need.
         del data, datasets
-    if queued:
+    for fit, items in queued.items():
         start = time.perf_counter()
-        outcomes = contlearn.golem_fit_batch([problem for _, problem in queued])
-        share = (time.perf_counter() - start) / len(queued)
-        for ((record, *rest), _), outcome in zip(queued, outcomes):
-            record.wall_seconds = share
-            _fill_record(cfg, record, *rest, _golem_weights, outcome)
+        outcomes = fit([problem for _, problem in items])
+        share = (time.perf_counter() - start) / len(items)
+        for ((record, *rest), _), outcome in zip(items, outcomes):
+            record.wall_seconds += share
+            _fill_record(cfg, record, *rest, _weights, outcome)
     return per_sample, estimates
 
 
@@ -565,8 +613,9 @@ def run_benchmark(cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:
     mode is one chunk, run in this process. A pool whose worker died is
     dropped, and its ``BrokenProcessPool`` raised. A chunk is one
     ``_evaluate_samples`` call, so the golem fits of all its jobs step in one
-    lockstep batch. Records are gathered in deterministic (setting,
-    repetition, learner, regime) order, the same at any worker count.
+    lockstep batch, and so do its parent searches. Records are gathered in
+    deterministic (setting, repetition, learner, regime) order, the same at
+    any worker count.
     """
     jobs = [(si, rep) for si in range(len(cfg.settings)) for rep in range(cfg.repetitions)]
     workers = min(worker_count(), len(jobs), _usable_cpus())

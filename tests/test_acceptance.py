@@ -33,10 +33,11 @@ from varsortbench import harness
 from varsortbench.harness import ExperimentConfig, LearnerConfig, run_benchmark
 from varsortbench.learners import (
     DEFAULT_PARENT_SEARCH,
-    _regress_along_order,
+    OrderSearch,
     mse_gds,
     mse_gds_from_cov,
     randomregress,
+    regress_along_orders,
     sortnregress,
 )
 from varsortbench.metrics import favorable_threshold_shd, shd, sid, sid_oracle_linear
@@ -314,7 +315,9 @@ def gap_fits():
         # error attribution for raw order search: edges the variance order
         # reverses, and parent search along the true order
         out["reversed"].append(_reversed_edges(g, empirical_variances(data)))
-        oracle = _regress_along_order(data, topological_order(g), DEFAULT_PARENT_SEARCH)
+        (oracle,) = regress_along_orders(
+            [OrderSearch(data.covariance, data.n, np.array(topological_order(g)), DEFAULT_PARENT_SEARCH)]
+        )
         out["oracle_sid"].append(sid(g, threshold_and_break_cycles(oracle, 0.0)))
     out["elapsed"] = time.monotonic() - start
     return out

@@ -170,6 +170,39 @@ class TestRealdataCommand:
         assert (tmp_path / "real" / "records.csv").exists()
 
 
+class TestUserInputErrors:
+    """A user-input error is one line on stderr and status 2; a crash keeps its traceback."""
+
+    def assert_one_line(self, capsys, argv, kind):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"vsb {argv[0]}: {kind}: ")
+
+    def test_configuration_error(self, capsys):
+        self.assert_one_line(capsys, ["chain", "--d", "2", "--reps", "10"], "ConfigurationError")
+
+    def test_parse_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b\n1,x\n")
+        self.assert_one_line(capsys, ["learn", "--algo", "empty", "--data", str(data), "--out", str(tmp_path / "e.json")], "ParseError")
+
+    def test_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b\n1,2\n3,nan\n")
+        self.assert_one_line(capsys, ["learn", "--algo", "empty", "--data", str(data), "--out", str(tmp_path / "e.json")], "DataError")
+
+    def test_other_errors_keep_their_traceback(self, tmp_path):
+        import varsortbench
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(varsortbench.__file__)))
+        missing = str(tmp_path / "missing.csv")
+        argv = [sys.executable, "-m", "varsortbench.cli", "varsort", "--data", missing, "--truth", missing]
+        done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" in done.stderr and "FileNotFoundError" in done.stderr
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is slow to import and only notears needs it.
     import varsortbench

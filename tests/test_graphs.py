@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from varsortbench import graphs
 from varsortbench.errors import ConfigurationError, IntegrityError, MecSizeError, ParseError
@@ -23,6 +23,7 @@ from varsortbench.graphs import (
     topological_order,
     write_edge_list,
 )
+from varsortbench.rng import substream
 
 
 def random_dag(d, p, seed):
@@ -137,6 +138,44 @@ class TestSfSampler:
     def test_k_at_least_d_rejected(self):
         with pytest.raises(ConfigurationError):
             GraphSpec("SF", 4, 4)
+
+
+def sample_sf_dag_reference(spec, seed):
+    """``sample_sf_dag`` with its loops over targets and edges: the same
+    ``rng.choice`` and ``permutation`` draws in the same order."""
+    rng = substream(seed, "graphs", "sf")
+    d, k = spec.d, spec.k
+    pos_adj = np.zeros((d, d), dtype=bool)
+    for b in range(k):
+        for a in range(b):
+            pos_adj[a, b] = True
+    degree = np.zeros(d, dtype=float)
+    degree[:k] = k - 1
+    for new in range(k, d):
+        if new == k:
+            targets = np.arange(k)
+        else:
+            weights = degree[:new] / degree[:new].sum()
+            targets = rng.choice(new, size=k, replace=False, p=weights)
+        for t in targets:
+            pos_adj[t, new] = True
+            degree[t] += 1
+        degree[new] = k
+    perm = rng.permutation(d)
+    adj = np.zeros((d, d), dtype=bool)
+    for a, b in zip(*np.nonzero(pos_adj)):
+        adj[perm[a], perm[b]] = True
+    return Dag(adj, order=tuple(int(i) for i in perm))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(min_value=2, max_value=60), k=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_sf_sampler_matches_loop_reference(d, k, seed):
+    assume(k < d)
+    spec = GraphSpec("SF", d, k)
+    got, want = sample_sf_dag(spec, seed), sample_sf_dag_reference(spec, seed)
+    assert np.array_equal(got.adj, want.adj) and got.order == want.order
 
 
 def bfs_closure(adj, reflexive):

@@ -102,6 +102,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match=repr(key)):
             ExperimentConfig.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("favorable", "false"), ("mec_metrics", "no"), ("mec_metrics", 1), ("n", 2.9), ("n", True),
+         ("n", "1000"), ("repetitions", 2.5), ("mec_cap", False), ("seed", "3"), ("seed", None),
+         ("graphs", [{"model": "ER", "d": 5.5, "k": 2}]), ("graphs", [{"model": "ER", "d": "5", "k": 2}]),
+         ("graphs", [{"model": "ER", "d": 5, "k": True}])],
+    )
+    def test_scalars_take_only_their_json_type(self, key, value):
+        obj = {**small_config().to_json(), key: value}
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            ExperimentConfig.from_json(obj)
+
+    def test_integral_numbers_load_as_integers(self):
+        cfg = small_config()
+        obj = {**cfg.to_json(), "n": 200.0, "seed": 11.0, "graphs": [{"model": "ER", "d": 5.0, "k": 2}]}
+        again = ExperimentConfig.from_json(obj)
+        assert again == cfg and again.config_hash() == cfg.config_hash()
+        assert type(again.n) is int and type(again.graphs[0].d) is int
+
     def test_config_must_be_an_object(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
             ExperimentConfig.from_json([small_config().to_json()])
@@ -203,10 +222,10 @@ class TestRunBenchmark:
                     LearnerConfig(name, {"lambda1": lambda1})
 
     def test_learner_failure_marks_row_and_continues(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise SingularModelError("singular on this sample")
+        def singular(problems):
+            return [SingularModelError("singular on this sample") for _ in problems]
 
-        monkeypatch.setattr(learners, "sortnregress", singular)
+        monkeypatch.setattr(learners, "regress_along_orders", singular)
         monkeypatch.delenv("VSB_THREADS", raising=False)
         cfg = small_config()
         records = run_benchmark(cfg)
@@ -214,6 +233,22 @@ class TestRunBenchmark:
         fine = [r for r in records if r.learner == "varsort-full"]
         assert failed and all(r.error.startswith("SingularModelError") for r in failed)
         assert fine and all(r.error is None for r in fine)
+
+    def test_failed_problem_fails_only_its_own_record(self, monkeypatch):
+        monkeypatch.delenv("VSB_THREADS", raising=False)
+        cfg = small_config(learners=(LearnerConfig("sortnregress"), LearnerConfig("randomregress")))
+        want = _rows(cfg, run_benchmark(cfg))
+        batch = learners.regress_along_orders
+
+        def second_fails(problems):
+            outcomes = batch(problems)
+            outcomes[1] = np.linalg.LinAlgError("SVD did not converge")
+            return outcomes
+
+        monkeypatch.setattr(learners, "regress_along_orders", second_fails)
+        got = _rows(cfg, run_benchmark(cfg))
+        differ = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
+        assert len(differ) == 1 and got[differ[0]]["error"].startswith("LinAlgError")
 
     def test_each_distinct_graph_scored_once(self, monkeypatch):
         # empty's raw and standardized estimates are equal, so a sample's
@@ -352,16 +387,23 @@ class TestRunBenchmark:
         )
         monkeypatch.delenv("VSB_THREADS", raising=False)
         run_benchmark(cfg, out_dir=tmp_path / "batched")
-        sizes = []
-        batch = contlearn.golem_fit_batch
+        sizes = {}
 
-        def one_by_one(problems):
-            sizes.append(len(problems))
-            return [batch([problem])[0] for problem in problems]
+        def one_by_one(module, name):
+            batch = getattr(module, name)
 
-        monkeypatch.setattr(contlearn, "golem_fit_batch", one_by_one)
+            def fit(problems):
+                sizes.setdefault(name, []).append(len(problems))
+                return [batch([problem])[0] for problem in problems]
+
+            monkeypatch.setattr(module, name, fit)
+
+        one_by_one(contlearn, "golem_fit_batch")
+        one_by_one(learners, "regress_along_orders")
         run_benchmark(cfg, out_dir=tmp_path / "single")
-        assert sizes == [8]  # one call per chunk: two golem learners, two regimes, two samples
+        # One call per batch function and chunk: two golem learners, two
+        # regimes, two samples; one parent-search learner, two regimes, two samples.
+        assert sizes == {"golem_fit_batch": [8], "regress_along_orders": [4]}
         for name in ["records.csv"] + [f"estimates/{p.name}" for p in (tmp_path / "single" / "estimates").iterdir()]:
             assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
 
@@ -495,17 +537,17 @@ class TestWorkerPool:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setenv("VSB_THREADS", "2")
         cfg = small_config(learners=(LearnerConfig("sortnregress"),))
-        caller, fit = os.getpid(), learners.sortnregress
+        caller, fit = os.getpid(), learners.regress_along_orders
 
         def die(*args, **kwargs):
             assert os.getpid() != caller, "the fit ran in the calling process"
             os._exit(1)
 
-        monkeypatch.setattr(learners, "sortnregress", die)
+        monkeypatch.setattr(learners, "regress_along_orders", die)
         with pytest.raises(BrokenProcessPool):
             run_benchmark(cfg)
         assert harness._pool is None
-        monkeypatch.setattr(learners, "sortnregress", fit)
+        monkeypatch.setattr(learners, "regress_along_orders", fit)
         records = run_benchmark(cfg)
         assert all(r.error is None for r in records)
         monkeypatch.setenv("VSB_THREADS", "1")
