@@ -11,15 +11,25 @@ the outputs in ``DIR/<workload>`` (``DIR/<workload>/w<workers>`` with more
 than one worker count) for a closer look. Nothing under ``benchmarks/`` is
 changed.
 
+The ``realdata`` guard, run after the workloads unless a list of names is
+given, is ``vsb simulate --d 6 --seed 8`` followed by ``vsb realdata`` on
+that sample with its default learners and repetitions; ``--seed`` and
+``--round`` do not apply to it. Its digests are taken and compared across
+worker counts in the same way.
+
     PYTHONPATH=src python scripts/record_digests.py
     PYTHONPATH=src python scripts/record_digests.py --workers 1 2
+    PYTHONPATH=src python scripts/record_digests.py realdata --workers 1 2
     PYTHONPATH=src python scripts/record_digests.py order-search --seed 2 --round 1
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -30,7 +40,10 @@ sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 
 from workloads import WORKLOADS, round_config  # noqa: E402
 
+from varsortbench import cli  # noqa: E402
 from varsortbench.harness import ExperimentConfig, run_benchmark  # noqa: E402
+
+REALDATA = "realdata"
 
 
 def digests(out_dir: str) -> tuple[str, str]:
@@ -45,9 +58,26 @@ def digests(out_dir: str) -> tuple[str, str]:
     return records, h.hexdigest()[:16]
 
 
+def realdata_round(out_dir: str) -> None:
+    """Run the realdata guard into ``out_dir``: the sample and truth of
+    ``vsb simulate --d 6 --seed 8``, then the outputs of ``vsb realdata`` on
+    them. The commands' stdout is dropped; a failed command raises."""
+    os.makedirs(out_dir, exist_ok=True)
+    data, truth = os.path.join(out_dir, "data.csv"), os.path.join(out_dir, "truth.txt")
+    for argv in (
+        ["simulate", "--d", "6", "--seed", "8", "--out-data", data, "--out-truth", truth],
+        ["realdata", "--data", data, "--truth", truth, "--out", out_dir],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(argv)
+        if status:
+            raise RuntimeError(f"vsb {argv[0]} exited with status {status}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("workloads", nargs="*", default=list(WORKLOADS), help=", ".join(WORKLOADS))
+    names = [*WORKLOADS, REALDATA]
+    ap.add_argument("workloads", nargs="*", default=names, help=", ".join(names))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--round", type=int, default=0)
     ap.add_argument("--workers", type=int, nargs="+", default=[1], help="worker counts to run")
@@ -55,7 +85,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     status = 0
     for workload in args.workloads:
-        cfg = ExperimentConfig.from_json(round_config(workload, args.seed, args.round))
+        if workload == REALDATA:
+            line, run = {"workload": workload}, realdata_round
+        else:
+            cfg = ExperimentConfig.from_json(round_config(workload, args.seed, args.round))
+            line = {"workload": workload, "seed": args.seed, "round": args.round}
+            run = functools.partial(run_benchmark, cfg)
         seen = set()
         for workers in args.workers:
             os.environ["VSB_THREADS"] = str(workers)
@@ -63,13 +98,10 @@ def main(argv=None) -> int:
                 out_dir = os.path.join(args.keep or tmp, workload)
                 if len(args.workers) > 1:
                     out_dir = os.path.join(out_dir, f"w{workers}")
-                run_benchmark(cfg, out_dir)
+                run(out_dir)
                 records, estimates = digests(out_dir)
             seen.add((records, estimates))
-            print(json.dumps({
-                "workload": workload, "seed": args.seed, "round": args.round, "workers": workers,
-                "records_csv": records, "estimates": estimates,
-            }))
+            print(json.dumps({**line, "workers": workers, "records_csv": records, "estimates": estimates}))
         if len(seen) > 1:
             print(f"{workload}: digests differ across worker counts {args.workers}", file=sys.stderr)
             status = 1

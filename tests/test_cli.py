@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from varsortbench import harness
 from varsortbench.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +172,22 @@ class TestRealdataCommand:
         assert info["records"] == 8  # (sortnregress + empty) x 2 regimes x 2 reps
         assert info["errors"] == 0
         assert (tmp_path / "real" / "records.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_pinned_records_at_any_worker_count(self, workers, tmp_path, monkeypatch):
+        # The realdata guard of scripts/record_digests.py: the (records.csv,
+        # estimates/) digests of `vsb realdata` on `vsb simulate --d 6 --seed 8`.
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts benchmarks/ on it
+        spec = importlib.util.spec_from_file_location("record_digests", os.path.join(ROOT, "scripts", "record_digests.py"))
+        record_digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(record_digests)
+        monkeypatch.setenv("VSB_THREADS", workers)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        try:
+            record_digests.realdata_round(str(tmp_path))
+        finally:
+            harness._drop_pool()
+        assert record_digests.digests(str(tmp_path)) == ("a4a84b3670064b6d", "fb3a78d19357d247")
 
 
 class TestUserInputErrors:
