@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, IntegrityError, SingularModelError
+from .errors import ConfigurationError, DataError, IntegrityError, SingularModelError, unwrap
 from .graphs import Dag, cycle_free_support
 from .metrics import shd, sid
 from .scm import Dataset, LinearScm, WeightedDag, population_covariance
@@ -446,9 +446,7 @@ def golem_fit(
     one of ``golem_fit_batch``.
     """
     (result,) = golem_fit_batch([(data, variant, settings)])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return unwrap(result)
 
 
 def golem_fit_batch(problems) -> list:

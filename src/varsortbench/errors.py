@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way a batch
+outcome that holds an exception is raised."""
 
 __all__ = [
     "ConfigurationError",
@@ -9,6 +10,7 @@ __all__ = [
     "MecSizeError",
     "SingularModelError",
     "ParseError",
+    "unwrap",
 ]
 
 
@@ -52,3 +54,10 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def unwrap(outcome):
+    """A batch fit's outcome, or the exception it holds raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

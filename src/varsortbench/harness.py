@@ -40,6 +40,7 @@ from .errors import (
     ParseError,
     SingularModelError,
     UndefinedMetricError,
+    unwrap,
 )
 from .graphs import Dag, GraphSpec, read_edge_list, sample_dag
 from .metrics import class_scores, dag_scores, favorable_threshold_shd
@@ -82,28 +83,19 @@ NOISE_SETTINGS = {
 }
 
 
-class Batch(NamedTuple):
-    """How the harness fits a learner's problems of many samples together:
-    ``problem(data, settings, seed)`` keeps what one fit needs, and
-    ``fit(problems)`` returns, in problem order, each fit's weights or the
-    exception a fit of its own would raise."""
+class Learner(NamedTuple):
+    """``settings(**keys)`` builds what a fit takes from a config's settings
+    keys, raising ``TypeError`` on an unknown key. ``problem(data, settings,
+    seed)`` does the part of a fit that needs the sample, and ``fit(problems)``
+    returns, in problem order, each fit's raw weights, to be thresholded if
+    ``thresholded``, or the exception that fit would raise on its own. A
+    learner without a batch does its whole fit in ``problem``, and its
+    ``fit`` is ``list``."""
 
+    settings: Callable[..., object]
     problem: Callable[[Dataset, object, int], object]
     fit: Callable[[list], list]
-
-
-class Learner(NamedTuple):
-    """``settings(**keys)`` builds what ``fit(data, settings, seed)`` takes
-    from a config's settings keys, raising ``TypeError`` on an unknown key.
-    ``fit`` returns raw weights, to be thresholded if ``thresholded``.
-    Where ``batch`` is set, ``fit`` is a batch of one of ``batch.fit``, and
-    the harness fits the problems of all of a worker's jobs in one
-    ``batch.fit`` call."""
-
-    fit: Callable[[Dataset, object, int], WeightedDag]
     thresholded: bool
-    settings: Callable[..., object]
-    batch: Batch | None = None
 
 
 def _no_settings() -> None:
@@ -126,40 +118,27 @@ def _parent_search_batch(problems) -> list:
 
 
 def _golem(variant: str) -> Learner:
-    return Learner(
-        lambda data, s, seed: contlearn.golem_fit(data, variant, s)[0],
-        True,
-        functools.partial(contlearn.GolemSettings.of, variant),
-        Batch(lambda data, s, seed: (data, variant, s), _golem_batch),
-    )
+    settings = functools.partial(contlearn.GolemSettings.of, variant)
+    return Learner(settings, lambda data, s, seed: (data, variant, s), _golem_batch, True)
+
+
+def _parent_search(problem) -> Learner:
+    return Learner(learners.ParentSearchConfig, problem, _parent_search_batch, False)
 
 
 # Fits look learners up through their modules at call time, so a wrapper
 # installed on a module attribute (a tracer, a test double) sees every call.
 LEARNERS = {
-    "sortnregress": Learner(
-        lambda data, s, seed: learners.sortnregress(data, s),
-        False,
-        learners.ParentSearchConfig,
-        Batch(lambda data, s, seed: learners.sortnregress_search(data, s), _parent_search_batch),
-    ),
-    "randomregress": Learner(
-        lambda data, s, seed: learners.randomregress(data, s, seed=seed),
-        False,
-        learners.ParentSearchConfig,
-        Batch(lambda data, s, seed: learners.randomregress_search(data, s, seed), _parent_search_batch),
-    ),
+    "sortnregress": _parent_search(lambda data, s, seed: learners.sortnregress_search(data, s)),
+    "randomregress": _parent_search(lambda data, s, seed: learners.randomregress_search(data, s, seed)),
     "varsort-full": Learner(
-        lambda data, s, seed: WeightedDag(learners.variance_sort_full(data).adj.astype(float)),
-        False,
-        _no_settings,
+        _no_settings, lambda data, s, seed: WeightedDag(learners.variance_sort_full(data).adj.astype(float)),
+        list, False,
     ),
-    "mse-gds": Learner(lambda data, s, seed: learners.mse_gds(data, **s), False, _mse_gds_settings),
-    "empty": Learner(
-        lambda data, s, seed: WeightedDag(np.zeros((data.d, data.d))), False, _no_settings
-    ),
+    "mse-gds": Learner(_mse_gds_settings, lambda data, s, seed: learners.mse_gds(data, **s), list, False),
+    "empty": Learner(_no_settings, lambda data, s, seed: WeightedDag(np.zeros((data.d, data.d))), list, False),
     "notears": Learner(
-        lambda data, s, seed: contlearn.notears_fit(data, s)[0], True, contlearn.NotearsSettings
+        contlearn.NotearsSettings, lambda data, s, seed: contlearn.notears_fit(data, s)[0], list, True
     ),
     "golem-ev": _golem("ev"),
     "golem-nv": _golem("nv"),
@@ -398,7 +377,8 @@ def _learner_settings(name: str, settings: dict):
 def run_learner(name: str, data: Dataset, settings: dict, seed: int) -> WeightedDag:
     """Fit a learner by registry name with a config's settings keys; returns raw weights."""
     settings = _learner_settings(name, settings)
-    return LEARNERS[name].fit(data, settings, seed)
+    entry = LEARNERS[name]
+    return unwrap(entry.fit([entry.problem(data, settings, seed)])[0])
 
 
 def _score_estimate(
@@ -434,51 +414,33 @@ def _score_estimate(
     return out
 
 
-def _fill_record(
-    cfg: ExperimentConfig, record: RunRecord, truth: Dag, scored: dict, estimates: dict, key, fit, *args
-) -> None:
-    """Fit by ``fit(*args)``, score and time one record in place, keeping its
-    estimate under ``key``."""
-    start = time.perf_counter()
-    try:
-        west = fit(*args)
-        record.metrics = _score_estimate(cfg, truth, west, LEARNERS[record.learner].thresholded, scored)
-        estimates[key] = west
-    # A fit that fails on this sample becomes an error row; anything else is
-    # a bug or a bad config and stops the run.
-    except (SingularModelError, DataError, np.linalg.LinAlgError) as err:
-        record.error = f"{type(err).__name__}: {err}"
-    record.wall_seconds += time.perf_counter() - start
-
-
-def _weights(outcome) -> WeightedDag:
-    """The weights of one batch outcome, or its exception raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+# A fit or a score that fails on its sample becomes an error row; anything
+# else is a bug or a bad config and stops the run.
+_ROW_ERRORS = (SingularModelError, DataError, np.linalg.LinAlgError)
 
 
 def _evaluate_samples(
-    cfg: ExperimentConfig, samples, learner_list
+    cfg: ExperimentConfig, make_sample, learner_list, jobs
 ) -> tuple[list[list[RunRecord]], dict]:
-    """Run every learner on every regime of each sample and score each estimate.
+    """Run every learner on every regime of each job's sample and score each estimate.
 
-    ``samples`` yields one ``(truth, data, seed_path, est_key, identity)`` at
-    a time: a learner's seed is ``spawn_seed(cfg.seed, *seed_path, name)``,
-    its estimates are keyed ``(*est_key, name, regime)`` and ``identity``
-    holds the fields that describe the sample other than ``d`` and
-    ``varsortability``, which are read off ``data``. A learner without a
-    batch hook is fitted and scored while its sample is live. A learner with
-    one queues its problem, which keeps only what the fit needs; after the
-    last sample each batch function fits all of its queued problems in one
-    call. Such a record's ``wall_seconds`` is the time to make its problem,
-    an equal share of that call and its own scoring time. Returns each
-    sample's records in (learner, regime) order, and the estimates.
+    ``make_sample(job)`` gives ``(truth, data, seed_path, est_key,
+    identity)``: a learner's seed is ``spawn_seed(cfg.seed, *seed_path,
+    name)``, its estimates are keyed ``(*est_key, name, regime)``, and
+    ``identity`` holds the fields of the sample other than ``d`` and
+    ``varsortability``, which are read off ``data``. While a sample is live,
+    each record makes its learner's problem; a row error there is the
+    record's error. After the last sample each fit function runs once on all
+    its queued problems, and each record is scored from its outcome: its
+    ``wall_seconds`` is the time to make its problem, an equal share of that
+    call and its own scoring. Returns each job's records in (learner,
+    regime) order, and the estimates.
     """
     chash = cfg.config_hash()
-    entries = [(l, LEARNERS[l.name], _learner_settings(l.name, l.settings)) for l in learner_list]
+    entries = [(l.name, LEARNERS[l.name], _learner_settings(l.name, l.settings)) for l in learner_list]
     per_sample, estimates, queued = [], {}, {}
-    for truth, data, seed_path, est_key, identity in samples:
+    for job in jobs:
+        truth, data, seed_path, est_key, identity = make_sample(job)
         try:
             v = varsortability(truth, empirical_variances(data)).v
         except UndefinedMetricError:
@@ -489,36 +451,45 @@ def _evaluate_samples(
             datasets["standardized"] = standardize(data)
         scored: dict = {}
         per_sample.append([])
-        for learner, entry, settings in entries:
-            learner_seed = spawn_seed(cfg.seed, *seed_path, learner.name)
+        for name, entry, settings in entries:
+            learner_seed = spawn_seed(cfg.seed, *seed_path, name)
             for regime in cfg.regimes:
                 record = RunRecord(
-                    **identity, learner=learner.name, regime=regime, learner_seed=learner_seed,
+                    **identity, learner=name, regime=regime, learner_seed=learner_seed,
                     metrics={}, error=None, wall_seconds=0.0, config_hash=chash,
                 )
                 per_sample[-1].append(record)
-                task = (record, truth, scored, estimates, (*est_key, learner.name, regime))
-                if entry.batch is None:
-                    _fill_record(cfg, *task, entry.fit, datasets[regime], settings, learner_seed)
-                    continue
                 start = time.perf_counter()
-                problem = entry.batch.problem(datasets[regime], settings, learner_seed)
+                try:
+                    problem = entry.problem(datasets[regime], settings, learner_seed)
+                except _ROW_ERRORS as err:
+                    record.error = f"{type(err).__name__}: {err}"
+                else:
+                    key = (*est_key, name, regime)
+                    queued.setdefault(entry.fit, []).append((record, truth, scored, key, problem))
                 record.wall_seconds = time.perf_counter() - start
-                queued.setdefault(entry.batch.fit, []).append((task, problem))
         # Free this sample while the next one is made; queued problems keep what they need.
         del data, datasets
     for fit, items in queued.items():
         start = time.perf_counter()
-        outcomes = fit([problem for _, problem in items])
+        outcomes = fit([problem for *_, problem in items])
         share = (time.perf_counter() - start) / len(items)
-        for ((record, *rest), _), outcome in zip(items, outcomes):
-            record.wall_seconds += share
-            _fill_record(cfg, record, *rest, _weights, outcome)
+        for (record, truth, scored, key, _), outcome in zip(items, outcomes):
+            start = time.perf_counter()
+            try:
+                west = unwrap(outcome)
+                thresholded = LEARNERS[record.learner].thresholded
+                record.metrics = _score_estimate(cfg, truth, west, thresholded, scored)
+                estimates[key] = west
+            except _ROW_ERRORS as err:
+                record.error = f"{type(err).__name__}: {err}"
+            record.wall_seconds += share + time.perf_counter() - start
     return per_sample, estimates
 
 
-def _simulate_job(cfg: ExperimentConfig, si: int, rep: int) -> tuple:
+def _simulate_job(cfg: ExperimentConfig, job: tuple[int, int]) -> tuple:
     """The sample of one (setting, repetition) job, as ``_evaluate_samples`` takes it."""
+    si, rep = job
     spec, token = cfg.settings[si]
     g = sample_dag(spec, spawn_seed(cfg.seed, "bench", "graph", si, rep))
     m = sample_linear_scm(
@@ -530,11 +501,6 @@ def _simulate_job(cfg: ExperimentConfig, si: int, rep: int) -> tuple:
         repetition=rep, data_seed=data_seed,
     )
     return g, simulate(m, cfg.n, data_seed), ("bench", "learner", si, rep), (si, rep), identity
-
-
-def _run_jobs(cfg: ExperimentConfig, jobs) -> tuple[list[list[RunRecord]], dict]:
-    """Simulate and evaluate one worker's chunk of (setting, repetition) jobs."""
-    return _evaluate_samples(cfg, (_simulate_job(cfg, *job) for job in jobs), cfg.learners)
 
 
 def _usable_cpus() -> int:
@@ -603,24 +569,21 @@ def _drop_pool() -> None:
         pool.shutdown()
 
 
-def run_benchmark(cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:
-    """Run the full matrix; optionally persist records and raw estimates.
+def _run_chunks(cfg: ExperimentConfig, make_sample, learner_list, jobs: list, out_dir) -> list[RunRecord]:
+    """Evaluate the sample ``make_sample(job)`` of every job; optionally
+    persist the records and raw estimates.
 
-    The (setting, repetition) jobs are dealt to ``workers`` interleaved
-    chunks, ``jobs[w::workers]``, where ``workers`` is ``VSB_THREADS`` capped
-    by the number of jobs and of CPUs this process may use. With more than
-    one, the chunks run on the processes of ``worker_pool(workers)``; serial
-    mode is one chunk, run in this process. A pool whose worker died is
-    dropped, and its ``BrokenProcessPool`` raised. A chunk is one
-    ``_evaluate_samples`` call, so the golem fits of all its jobs step in one
-    lockstep batch, and so do its parent searches. Records are gathered in
-    deterministic (setting, repetition, learner, regime) order, the same at
-    any worker count.
+    The jobs are dealt to interleaved chunks, ``jobs[w::workers]``, with
+    ``workers`` the ``VSB_THREADS`` count capped by the jobs and by the CPUs
+    this process may use. Each chunk is one ``_evaluate_samples`` call, run
+    on the processes of ``worker_pool(workers)`` when there are two or more;
+    a pool whose worker died is dropped and its ``BrokenProcessPool``
+    raised. Records come in job order, then (learner, regime) order, the
+    same at any worker count.
     """
-    jobs = [(si, rep) for si in range(len(cfg.settings)) for rep in range(cfg.repetitions)]
     workers = min(worker_count(), len(jobs), _usable_cpus())
     chunks = [jobs[w::workers] for w in range(workers)]
-    run = functools.partial(_run_jobs, cfg)
+    run = functools.partial(_evaluate_samples, cfg, make_sample, learner_list)
     if workers > 1:
         try:
             outcomes = list(worker_pool(workers).map(run, chunks))
@@ -629,17 +592,22 @@ def run_benchmark(cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:
             raise
     else:
         outcomes = list(map(run, chunks))
-
     results: dict = {}
     estimates: dict = {}
     for chunk, (per_sample, ests) in zip(chunks, outcomes):
         results.update(zip(chunk, per_sample))
         estimates.update(ests)
     records = [rec for job in jobs for rec in results[job]]
-
     if out_dir is not None:
         write_records(cfg, records, out_dir, estimates=estimates)
     return records
+
+
+def run_benchmark(cfg: ExperimentConfig, out_dir=None) -> list[RunRecord]:
+    """Run the full matrix, one ``_run_chunks`` job per (setting,
+    repetition); optionally persist records and raw estimates."""
+    jobs = [(si, rep) for si in range(len(cfg.settings)) for rep in range(cfg.repetitions)]
+    return _run_chunks(cfg, functools.partial(_simulate_job, cfg), cfg.learners, jobs, out_dir)
 
 
 def write_json(path, obj, indent: int | None = None) -> None:
@@ -738,7 +706,9 @@ def realdata_study(data_path, truth_path, cfg: ExperimentConfig, out_dir=None) -
 
     Per repetition: draw a bootstrap sample, measure its variance
     sortedness against the truth, run every configured learner on the raw
-    and standardized copies, and score an empty-graph baseline row.
+    and standardized copies, and score an empty-graph baseline row. The
+    repetitions are jobs of ``_run_chunks``, so records come in repetition
+    order at any worker count.
     """
     data = load_dataset_csv(data_path)
     try:
@@ -753,9 +723,5 @@ def realdata_study(data_path, truth_path, cfg: ExperimentConfig, out_dir=None) -
     learner_list = list(cfg.learners)
     if all(l.name != "empty" for l in learner_list):
         learner_list.append(LearnerConfig("empty"))
-    samples = (_bootstrap_sample(cfg, data, truth, rep) for rep in range(cfg.repetitions))
-    per_sample, estimates = _evaluate_samples(cfg, samples, learner_list)
-    records = [rec for recs in per_sample for rec in recs]
-    if out_dir is not None:
-        write_records(cfg, records, out_dir, estimates=estimates)
-    return records
+    make_sample = functools.partial(_bootstrap_sample, cfg, data, truth)
+    return _run_chunks(cfg, make_sample, learner_list, list(range(cfg.repetitions)), out_dir)

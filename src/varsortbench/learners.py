@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, unwrap
 from .graphs import Dag
 from .rng import substream
 from .scm import Dataset, WeightedDag
@@ -70,13 +70,6 @@ class OrderSearch(NamedTuple):
     cfg: ParentSearchConfig = DEFAULT_PARENT_SEARCH
 
 
-def _raised(outcome):
-    """A batch outcome, or the exception it holds raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def lasso_bic_parents(
     data: Dataset,
     target: int,
@@ -101,7 +94,7 @@ def lasso_bic_parents(
     if int(target) in candidates:
         raise ConfigurationError("target cannot be its own candidate parent")
     (coef,) = _parent_searches([(data.covariance, data.n, int(target), candidates, cfg)])
-    return _raised(coef)
+    return unwrap(coef)
 
 
 def regress_along_orders(problems) -> list:
@@ -358,7 +351,7 @@ def sortnregress(data: Dataset, cfg: ParentSearchConfig = DEFAULT_PARENT_SEARCH)
     The output supports a DAG by construction. Variance ties break by
     column index (stable sort).
     """
-    return _raised(regress_along_orders([sortnregress_search(data, cfg)])[0])
+    return unwrap(regress_along_orders([sortnregress_search(data, cfg)])[0])
 
 
 def randomregress(
@@ -367,7 +360,7 @@ def randomregress(
     seed: int = 0,
 ) -> WeightedDag:
     """Like ``sortnregress`` but with a uniformly random node order."""
-    return _raised(regress_along_orders([randomregress_search(data, cfg, seed)])[0])
+    return unwrap(regress_along_orders([randomregress_search(data, cfg, seed)])[0])
 
 
 def variance_sort_full(data: Dataset) -> Dag:

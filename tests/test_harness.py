@@ -250,6 +250,44 @@ class TestRunBenchmark:
         differ = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
         assert len(differ) == 1 and got[differ[0]]["error"].startswith("LinAlgError")
 
+    def test_unbatched_row_error_fails_only_its_own_records(self, monkeypatch):
+        monkeypatch.delenv("VSB_THREADS", raising=False)
+        names = ("mse-gds", "sortnregress", "varsort-full")
+        cfg = small_config(learners=tuple(LearnerConfig(name) for name in names))
+        want = _rows(cfg, run_benchmark(cfg))
+        fit, calls = learners.mse_gds, []
+
+        def singular_on_the_first_sample(data, **settings):
+            calls.append(data)
+            if len(calls) <= len(cfg.regimes):
+                raise SingularModelError("singular on this sample")
+            return fit(data, **settings)
+
+        monkeypatch.setattr(learners, "mse_gds", singular_on_the_first_sample)
+        got = _rows(cfg, run_benchmark(cfg))
+        differ = [(a["repetition"], a["learner"], a["error"]) for a, b in zip(got, want) if a != b]
+        assert differ == [(0, "mse-gds", "SingularModelError: singular on this sample")] * 2
+
+    @pytest.mark.parametrize(
+        "name, module, attr, outcome",
+        [("mse-gds", learners, "mse_gds", False), ("notears", contlearn, "notears_fit", False),
+         ("sortnregress", learners, "regress_along_orders", False), ("golem-ev", contlearn, "golem_fit_batch", False),
+         ("sortnregress", learners, "regress_along_orders", True)],
+        ids=["mse-gds", "notears", "parent-search", "golem", "parent-search-outcome"],
+    )
+    def test_other_exceptions_stop_the_run(self, name, module, attr, outcome, monkeypatch):
+        # Raised by the fit, or returned as a batch outcome: a bug is not a row.
+        def bug(*args, **kwargs):
+            if outcome:
+                return [RuntimeError("not a property of the sample") for _ in args[0]]
+            raise RuntimeError("not a property of the sample")
+
+        monkeypatch.setattr(module, attr, bug)
+        monkeypatch.delenv("VSB_THREADS", raising=False)
+        cfg = small_config(learners=(LearnerConfig("varsort-full"), LearnerConfig(name)))
+        with pytest.raises(RuntimeError, match="not a property of the sample"):
+            run_benchmark(cfg)
+
     def test_each_distinct_graph_scored_once(self, monkeypatch):
         # empty's raw and standardized estimates are equal, so a sample's
         # estimates hold repeated graphs; each is scored once
