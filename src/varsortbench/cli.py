@@ -3,9 +3,9 @@
 Subcommands: simulate, varsort, learn, evaluate, bench, chain, landscape,
 realdata. Outputs are machine-readable (JSON to stdout or CSV files). A
 user-input error ends a command with one line on stderr and status 2.
-``bench`` runs on as many worker processes as the ``VSB_THREADS``
-environment variable asks for (default 1), but never more than it has jobs
-or the process may use CPUs.
+``bench`` and ``realdata`` run on as many worker processes as the
+``VSB_THREADS`` environment variable asks for (default 1), but never more
+than they have jobs or the process may use CPUs.
 """
 
 from __future__ import annotations
@@ -181,19 +181,24 @@ def _cmd_landscape(args) -> int:
     return 0
 
 
+REALDATA_DEFAULTS = {"learners": "sortnregress,randomregress", "repetitions": 10, "seed": 0}
+
+
 def _cmd_realdata(args) -> int:
+    given = {key: getattr(args, key) for key in REALDATA_DEFAULTS if getattr(args, key) is not None}
     if args.config:
+        if given:
+            raise ConfigurationError(f"--config replaces --{', --'.join(given)}; give one or the other")
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = harness.ExperimentConfig.from_json(json.load(fh))
     else:
+        flags = {**REALDATA_DEFAULTS, **given}
         cfg = harness.ExperimentConfig(
             graphs=(GraphSpec("ER", 2, 1),),  # placeholder; real-data runs ignore graph specs
             noise=("gaussian-nv",),
-            learners=tuple(
-                harness.LearnerConfig(name) for name in args.learners.split(",")
-            ),
-            repetitions=args.repetitions,
-            seed=args.seed,
+            learners=tuple(harness.LearnerConfig(name) for name in flags["learners"].split(",")),
+            repetitions=flags["repetitions"],
+            seed=flags["seed"],
         )
     records = harness.realdata_study(args.data, args.truth, cfg, out_dir=args.out)
     errors = sum(1 for r in records if r.error)
@@ -286,10 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realdata", help="bootstrap study on an observational dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--config")
-    p.add_argument("--learners", default="sortnregress,randomregress")
-    p.add_argument("--repetitions", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", help="a bench config, in place of the three options below")
+    p.add_argument("--learners", help=f"default {REALDATA_DEFAULTS['learners']}")
+    p.add_argument("--repetitions", type=int, help=f"default {REALDATA_DEFAULTS['repetitions']}")
+    p.add_argument("--seed", type=int, help=f"default {REALDATA_DEFAULTS['seed']}")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_realdata)
 
@@ -297,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. A bad config, a malformed input file or unusable
-    data is reported in one line on stderr with exit status 2; any other
-    exception propagates with its traceback."""
+    """Run one subcommand. A bad config, malformed JSON or another malformed
+    input file, or unusable data is reported in one line on stderr with exit
+    status 2; any other exception propagates with its traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ParseError, DataError) as err:
+    except (ConfigurationError, ParseError, DataError, json.JSONDecodeError) as err:
         print(f"vsb {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, IntegrityError, SingularModelError, unwrap
+from .errors import (
+    ConfigurationError, DataError, IntegrityError, SingularModelError, integer, real, setting, unwrap,
+)
 from .graphs import Dag, cycle_free_support
 from .metrics import shd, sid
 from .scm import Dataset, LinearScm, WeightedDag, population_covariance
@@ -66,7 +68,7 @@ class NotearsSettings:
     lambda1: float = 0.0
 
     def __post_init__(self):
-        if not self.lambda1 >= 0:  # NaN fails too
+        if not setting(real, "lambda1", self.lambda1) >= 0:  # NaN fails too
             raise ConfigurationError("lambda1 must be non-negative")
 
 
@@ -79,9 +81,10 @@ class GolemSettings:
     iterations: int = 10_000
 
     def __post_init__(self):
-        if not self.lambda1 >= 0:  # NaN fails too
+        if not setting(real, "lambda1", self.lambda1) >= 0:  # NaN fails too
             raise ConfigurationError("lambda1 must be non-negative")
-        if not isinstance(self.iterations, int) or self.iterations < 1:
+        object.__setattr__(self, "iterations", setting(integer, "iterations", self.iterations))
+        if self.iterations < 1:
             raise ConfigurationError("iterations must be a positive integer")
 
     @classmethod

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one way a batch
-outcome that holds an exception is raised."""
+"""Exception types shared across the package, the checks of config values
+that raise them, and the one way a batch outcome's exception is raised."""
 
 __all__ = [
     "ConfigurationError",
@@ -10,6 +10,10 @@ __all__ = [
     "MecSizeError",
     "SingularModelError",
     "ParseError",
+    "integer",
+    "real",
+    "boolean",
+    "setting",
     "unwrap",
 ]
 
@@ -54,6 +58,38 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def real(value):
+    """``value`` if it is a JSON number; a bool or a string raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return value
+
+
+def integer(value) -> int:
+    """``value`` as an ``int`` if it is an integral JSON number; a bool, a
+    string or a fraction raises ``TypeError`` or ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def boolean(value) -> bool:
+    """``value`` if it is a JSON boolean; anything else raises ``TypeError``."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {type(value).__name__}")
+    return value
+
+
+def setting(parse, key: str, value):
+    """``parse(value)``; a malformed value raises ``ConfigurationError`` naming ``key``."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"malformed setting {key!r}: {err}") from None
 
 
 def unwrap(outcome):

@@ -5,9 +5,9 @@ each instance is simulated once and every learner sees the same sample in
 both scale regimes. All per-instance seeds derive from
 (master seed, setting index, repetition) only, so adding a learner never
 changes the generated data. Each worker takes an interleaved chunk of the
-(setting, repetition) jobs and fits the golem problems of all of them in
-one lockstep batch, and the parent searches of sortnregress and
-randomregress in another; no fit depends on the rest of its batch. Reruns
+(setting, repetition) jobs, or the repetitions of a bootstrap study, and
+fits the golem problems of all of them in one lockstep batch and the
+parent searches in another; no fit depends on the rest of its batch. Reruns
 with the same config and master seed produce byte-identical
 ``records.csv`` at any worker count; wall-clock timings therefore live only
 in ``records.json``.
@@ -40,6 +40,10 @@ from .errors import (
     ParseError,
     SingularModelError,
     UndefinedMetricError,
+    boolean,
+    integer,
+    real,
+    setting,
     unwrap,
 )
 from .graphs import Dag, GraphSpec, read_edge_list, sample_dag
@@ -87,10 +91,9 @@ class Learner(NamedTuple):
     """``settings(**keys)`` builds what a fit takes from a config's settings
     keys, raising ``TypeError`` on an unknown key. ``problem(data, settings,
     seed)`` does the part of a fit that needs the sample, and ``fit(problems)``
-    returns, in problem order, each fit's raw weights, to be thresholded if
-    ``thresholded``, or the exception that fit would raise on its own. A
-    learner without a batch does its whole fit in ``problem``, and its
-    ``fit`` is ``list``."""
+    returns, in order, each fit's raw weights (to be thresholded if
+    ``thresholded``) or the exception that fit would raise on its own. A
+    learner without a batch fits in ``problem``; its ``fit`` is ``list``."""
 
     settings: Callable[..., object]
     problem: Callable[[Dataset, object, int], object]
@@ -103,9 +106,11 @@ def _no_settings() -> None:
 
 
 def _mse_gds_settings(**settings) -> dict:
-    """Keyword settings of ``learners.mse_gds``; binding them rejects an unknown key."""
+    """Keyword settings of ``learners.mse_gds``; binding them rejects an
+    unknown key. ``max_edges`` takes an integer or null, ``tol_rel`` a number."""
     inspect.signature(learners.mse_gds).bind(None, **settings)
-    return settings
+    parse = {"max_edges": lambda v: v if v is None else integer(v), "tol_rel": real}
+    return {key: setting(parse[key], key, value) for key, value in settings.items()}
 
 
 def _golem_batch(problems) -> list:
@@ -168,23 +173,6 @@ def _list(value) -> list:
     belongs raises ``TypeError``."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def _integer(value) -> int:
-    """``value`` as an ``int`` if it is an integral JSON number; a bool, a
-    string or a fraction raises ``TypeError`` or ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _boolean(value) -> bool:
-    """``value`` if it is a JSON boolean; anything else raises ``TypeError``."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {type(value).__name__}")
     return value
 
 
@@ -270,7 +258,7 @@ class ExperimentConfig:
                 raise ConfigurationError(f"missing config key {key!r}")
         parsers = {  # JSON key: (field, parse)
             "graphs": ("graphs", lambda v: tuple(
-                GraphSpec(g["model"], _integer(g["d"]), _integer(g["k"])) for g in _list(v))),
+                GraphSpec(g["model"], integer(g["d"]), integer(g["k"])) for g in _list(v))),
             "noise": ("noise", lambda v: tuple(_list(v))),
             "learners": ("learners", lambda v: tuple(
                 LearnerConfig(l["name"], dict(l.get("settings", {}))) for l in _list(v))),
@@ -278,9 +266,9 @@ class ExperimentConfig:
             "sigmas": ("sigma_law", lambda v: SigmaLaw(v["kind"], v["lo"], v["hi"]) if v else None),
             "regimes": ("regimes", lambda v: tuple(_list(v))),
             "omegas": ("omegas", lambda v: tuple(map(float, _list(v)))),
-            "n": ("n", _integer), "repetitions": ("repetitions", _integer), "mec_cap": ("mec_cap", _integer),
-            "seed": ("seed", _integer), "favorable": ("favorable", _boolean),
-            "mec_metrics": ("mec_metrics", _boolean),
+            "n": ("n", integer), "repetitions": ("repetitions", integer), "mec_cap": ("mec_cap", integer),
+            "seed": ("seed", integer), "favorable": ("favorable", boolean),
+            "mec_metrics": ("mec_metrics", boolean),
         }
         fields = {}
         for key, (name, parse) in parsers.items():
@@ -370,7 +358,7 @@ def _learner_settings(name: str, settings: dict):
         raise ConfigurationError(f"unknown learner {name!r}; available: {sorted(LEARNERS)}")
     try:
         return LEARNERS[name].settings(**settings)
-    except TypeError as err:
+    except (TypeError, ConfigurationError) as err:
         raise ConfigurationError(f"bad settings for learner {name!r}: {err}") from None
 
 

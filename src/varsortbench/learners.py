@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, unwrap
+from .errors import ConfigurationError, boolean, real, setting, unwrap
 from .graphs import Dag
 from .rng import substream
 from .scm import Dataset, WeightedDag
@@ -52,7 +52,8 @@ class ParentSearchConfig:
     adaptive: bool = True
 
     def __post_init__(self):
-        if not 0 < self.lambda_min_ratio < 1:
+        setting(boolean, "adaptive", self.adaptive)
+        if not 0 < setting(real, "lambda_min_ratio", self.lambda_min_ratio) < 1:
             raise ConfigurationError("lambda_min_ratio must lie in (0, 1)")
 
 

@@ -212,6 +212,30 @@ class TestUserInputErrors:
         data.write_text("a,b\n1,2\n3,nan\n")
         self.assert_one_line(capsys, ["learn", "--algo", "empty", "--data", str(data), "--out", str(tmp_path / "e.json")], "DataError")
 
+    def test_bench_config_that_is_not_json(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{graphs: []}")
+        self.assert_one_line(capsys, ["bench", "--config", str(config), "--out", str(tmp_path / "out")], "JSONDecodeError")
+
+    def test_realdata_config_that_is_not_json(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("")
+        argv = ["realdata", "--data", "d.csv", "--truth", "t.txt", "--config", str(config)]
+        self.assert_one_line(capsys, argv, "JSONDecodeError")
+
+    def test_learn_settings_that_are_not_json(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b\n1,2\n3,5\n")
+        argv = ["learn", "--algo", "mse-gds", "--data", str(data), "--out", str(tmp_path / "e.json"), "--settings", "{'tol_rel': 1}"]
+        self.assert_one_line(capsys, argv, "JSONDecodeError")
+
+    @pytest.mark.parametrize("flag, value", [("--learners", "empty"), ("--repetitions", "3"), ("--seed", "0")])
+    def test_realdata_config_with_the_flags_it_replaces(self, tmp_path, capsys, flag, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"graphs": [{"model": "ER", "d": 2, "k": 1}], "noise": ["gaussian-nv"], "learners": [{"name": "empty"}]}))
+        argv = ["realdata", "--data", "d.csv", "--truth", "t.txt", "--config", str(config), flag, value]
+        self.assert_one_line(capsys, argv, "ConfigurationError")
+
     def test_other_errors_keep_their_traceback(self, tmp_path):
         import varsortbench
 

@@ -221,6 +221,30 @@ class TestRunBenchmark:
                 with pytest.raises(ConfigurationError):
                     LearnerConfig(name, {"lambda1": lambda1})
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [("golem-ev", "iterations", True), ("golem-nv", "iterations", "5"), ("golem-ev", "lambda1", True),
+         ("notears", "lambda1", "0.1"), ("sortnregress", "adaptive", "false"), ("randomregress", "adaptive", 1),
+         ("sortnregress", "lambda_min_ratio", True), ("mse-gds", "tol_rel", "x"), ("mse-gds", "tol_rel", True),
+         ("mse-gds", "max_edges", True), ("mse-gds", "max_edges", 2.5)],
+    )
+    def test_learner_settings_take_only_their_json_type(self, name, key, value):
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            LearnerConfig(name, {key: value})
+
+    def test_valid_learner_settings_keep_their_config_hash(self):
+        # The hash of the parent code, where these settings were valid too.
+        learner_configs = (
+            LearnerConfig("golem-ev", {"iterations": 200, "lambda1": 0.01}), LearnerConfig("notears", {"lambda1": 0}),
+            LearnerConfig("mse-gds", {"max_edges": 3, "tol_rel": 1e-2}), LearnerConfig("mse-gds", {"max_edges": None}),
+            LearnerConfig("sortnregress", {"adaptive": False, "lambda_min_ratio": 1e-3}),
+        )
+        cfg = ExperimentConfig(graphs=(GraphSpec("ER", 5, 2),), noise=("gaussian-nv",), learners=learner_configs)
+        assert cfg.config_hash() == "64bd92a696c5"
+        assert LEARNERS["golem-ev"].settings(iterations=5.0) == contlearn.GolemSettings(2e-2, 5)
+        with pytest.raises(ConfigurationError, match="'lambda1'"):
+            contlearn.NotearsSettings(lambda1=True)
+
     def test_learner_failure_marks_row_and_continues(self, monkeypatch):
         def singular(problems):
             return [SingularModelError("singular on this sample") for _ in problems]
